@@ -71,7 +71,9 @@ class ApiGateway:
         yield self.sim.timeout(self.overhead_ms * config.MS)
         self.requests_admitted += 1
         if self.obs is not None:
-            self.obs.on_gateway_admit(self.sim.now - began)
+            m = self.obs.metrics
+            m.gateway_requests.inc()
+            m.gateway_admit_seconds.observe(self.sim.now - began)
         request_id = next(self._request_ids)
         budget = deadline_s if deadline_s is not None else self.default_deadline_s
         if budget is not None:

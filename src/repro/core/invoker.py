@@ -215,8 +215,8 @@ class Invoker:
                 for instance in pool.reap_expired(self.sim.now):
                     self.sim.spawn(self._destroy(instance))
                     reaped += 1
-            if self.obs is not None:
-                self.obs.on_keepalive_reaped(reaped)
+            if reaped and self.obs is not None:
+                self.obs.metrics.keepalive_reaped_total.inc(reaped)
 
     @property
     def sim(self):
@@ -466,9 +466,9 @@ class Invoker:
             if degraded:
                 degraded_any = True
                 if self.obs is not None:
-                    self.obs.on_degraded(
+                    self.obs.metrics.degraded_total.child(
                         function.name, dispatch_kind.value, attempt_kind.value
-                    )
+                    ).inc()
                 trace.annotate(degraded=True)
             shield = DetachableTrace(trace)
             attempt_info: dict = {}
@@ -538,7 +538,9 @@ class Invoker:
                     errors=errors,
                 )
             if self.obs is not None:
-                self.obs.on_retry(function.name, type(failure).__name__)
+                self.obs.metrics.retries_total.child(
+                    function.name, type(failure).__name__
+                ).inc()
             backoff = self.retry_policy.backoff_s(attempts, self._retry_rng)
             if deadline_at is not None:
                 backoff = min(backoff, max(0.0, deadline_at - self.sim.now))
@@ -790,7 +792,7 @@ class Invoker:
     def _expire(self, function, request_id, attempts, errors):
         """Dead-letter a request that ran out of deadline and raise."""
         if self.obs is not None:
-            self.obs.on_deadline_exceeded(function.name)
+            self.obs.metrics.deadline_exceeded_total.child(function.name).inc()
         self._dead_letter(function, request_id, attempts, errors, "deadline")
         raise DeadlineExceeded(
             f"request {request_id} for {function.name!r} exceeded its "
@@ -809,7 +811,7 @@ class Invoker:
                 reason=reason,
             ))
         if self.obs is not None:
-            self.obs.on_dead_letter(function.name, reason)
+            self.obs.metrics.dead_letters_total.child(function.name, reason).inc()
 
     # -- CPU/DPU path -----------------------------------------------------------------
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, TYPE_CHECKING
 
 from repro.errors import SchedulingError
+from repro.obs.metrics import MetricSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.invoker import FunctionInstance
@@ -240,6 +241,14 @@ class ImagePlan:
     copies_each: int
 
 
+#: Registered at the first drop: most runs never overflow an image.
+PLANNER_DROPPED = MetricSpec(
+    "repro_fpga_planner_dropped_total", "counter",
+    "Predicted-hot functions dropped from FPGA image plans "
+    "by the max_instances packing cap.",
+)
+
+
 class FpgaImagePlanner:
     """Chooses the kernel vector for the next FPGA image.
 
@@ -283,5 +292,5 @@ class FpgaImagePlanner:
         if dropped:
             self.dropped += len(dropped)
             if self.obs is not None:
-                self.obs.on_planner_drop(len(dropped))
+                self.obs.registry.register(PLANNER_DROPPED).inc(len(dropped))
         return ImagePlan(func_names=tuple(names), copies_each=copies)

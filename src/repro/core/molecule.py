@@ -43,6 +43,7 @@ from repro.core.reliability import (
 )
 from repro.core.scheduler import Scheduler
 from repro.obs import Observability
+from repro.obs.metrics import MetricSpec
 from repro.sandbox.runc import RuncRuntime
 from repro.sandbox.runf import RunfRuntime
 from repro.sandbox.rung import RungRuntime
@@ -51,6 +52,40 @@ from repro.sim.rng import SeededRng
 from repro.xpu.capability import Permission
 from repro.xpu.fifo import FifoEnd
 from repro.xpu.shim import ShimCluster
+
+#: Sim-kernel profile families, registered by the first
+#: ``metrics_snapshot(include_kernel=True)`` so golden runs that never
+#: publish a profile keep their catalog.
+KERNEL_METRICS = {
+    "events_processed": MetricSpec(
+        "repro_kernel_events_processed", "gauge",
+        "Events dispatched by the sim kernel since construction.",
+    ),
+    "batches_drained": MetricSpec(
+        "repro_kernel_batches_drained", "gauge",
+        "Timestep batches drained by the batched event loop.",
+    ),
+    "heap_ops_avoided": MetricSpec(
+        "repro_kernel_heap_ops_avoided", "gauge",
+        "Events dispatched without a heap pop of their own (drained "
+        "from a timestep batch or the URGENT lane).",
+    ),
+    "mean_batch_size": MetricSpec(
+        "repro_kernel_mean_batch_size", "gauge",
+        "Mean events dispatched per drained timestep batch.",
+    ),
+    "dispatched": MetricSpec(
+        "repro_kernel_dispatched", "gauge",
+        "Events dispatched by the sim kernel, by record kind.",
+        ("kind",),
+    ),
+    "slab_hit_rate": MetricSpec(
+        "repro_kernel_slab_hit_rate", "gauge",
+        "Fraction of record allocations served by the slab "
+        "free-lists, by record kind.",
+        ("kind",),
+    ),
+}
 
 
 class MoleculeRuntime:
@@ -420,68 +455,50 @@ class MoleculeRuntime:
     # -- reports ------------------------------------------------------------------------
 
     def _refresh_gauges(self) -> None:
-        """Sample point-in-time state (pools, DRAM) into the gauges."""
-        handles = getattr(self, "_gauge_handles", None)
-        if handles is None:
-            # Resolve every per-PU gauge child once; snapshots after the
-            # first reuse the bound handles.
-            registry = self.obs.registry
-            pool_size = registry.get("repro_warm_pool_size")
-            pool_hits = registry.get("repro_warm_pool_hits")
-            pool_misses = registry.get("repro_warm_pool_misses")
-            dram_used = registry.get("repro_pu_dram_used_mb")
-            breaker_state = registry.get("repro_breaker_state")
-            handles = self._gauge_handles = {
-                "pools": {
-                    pu_id: (
-                        pool_size.bind(pu=self.machine.pus[pu_id].name),
-                        pool_hits.bind(pu=self.machine.pus[pu_id].name),
-                        pool_misses.bind(pu=self.machine.pus[pu_id].name),
-                        dram_used.bind(pu=self.machine.pus[pu_id].name),
-                    )
-                    for pu_id in self.invoker.pools
-                },
-                "breakers": {
-                    pu.pu_id: breaker_state.bind(pu=pu.name)
-                    for pu in self.machine.pus.values()
-                },
-            }
+        """Sample point-in-time state (pools, DRAM, controllers) into
+        the snapshot-time gauges."""
+        m = self.obs.metrics
         for pu_id, pool in self.invoker.pools.items():
             pu = self.machine.pus[pu_id]
-            size_g, hits_g, misses_g, dram_g = handles["pools"][pu_id]
-            size_g.set(len(pool))
-            hits_g.set(pool.hits)
-            misses_g.set(pool.misses)
-            dram_g.set(pu.dram_used_mb)
+            m.pool_size.child(pu.name).set(len(pool))
+            m.pool_hits.child(pu.name).set(pool.hits)
+            m.pool_misses.child(pu.name).set(pool.misses)
+            m.dram_used_mb.child(pu.name).set(pu.dram_used_mb)
         for pu in self.machine.pus.values():
             if self.health.is_down(pu):
                 value = 3  # crashed and not yet rebooted
             else:
                 value = BREAKER_STATE_VALUE[self.health.breaker(pu).state]
-            handles["breakers"][pu.pu_id].set(value)
+            m.breaker_state.child(pu.name).set(value)
         if self.frontend is not None:
-            self.obs.ensure_shard_metrics()
-            outstanding = self.obs.shard_outstanding
-            utilization = self.obs.shard_utilization
+            shard = self.frontend.metrics
             for entry in self.frontend.snapshot():
                 label = str(entry["shard"])
-                outstanding.bind(shard=label).set(entry["outstanding"])
-                utilization.bind(shard=label).set(entry["utilization"])
+                shard.outstanding.child(label).set(entry["outstanding"])
+                shard.utilization.child(label).set(entry["utilization"])
         if self.overload is not None:
-            self.obs.ensure_overload_metrics()
-            limit_g = self.obs.overload_limit
-            depth_g = self.obs.overload_queue_depth
+            overload = self.overload.metrics
             for gate in self.overload.gates():
-                limit_g.bind(shard=gate.label).set(gate.limiter.limit)
-                depth_g.bind(shard=gate.label).set(len(gate.queue))
-            self.obs.overload_pressure.set(self.overload.pressure())
+                overload.limit.child(gate.label).set(gate.limiter.limit)
+                overload.queue_depth.child(gate.label).set(len(gate.queue))
+            overload.pressure.set(self.overload.pressure())
         if self.reuse is not None:
-            self.obs.ensure_reuse_metrics()
-            self.obs.on_reuse_cache_state(
-                len(self.reuse.cache),
-                self.reuse.cache.bytes_used,
-                self.reuse.hit_rate(),
-            )
+            reuse = self.reuse.metrics
+            reuse.cache_entries.set(len(self.reuse.cache))
+            reuse.cache_bytes.set(self.reuse.cache.bytes_used)
+            reuse.hit_ratio.set(self.reuse.hit_rate())
+
+    def _publish_kernel_profile(self) -> None:
+        kernel = self.obs.registry.register_table(KERNEL_METRICS)
+        profile = self.sim.kernel_profile()
+        kernel.events_processed.set(profile["events_processed"])
+        kernel.batches_drained.set(profile["batches_drained"])
+        kernel.heap_ops_avoided.set(profile["heap_ops_avoided"])
+        kernel.mean_batch_size.set(profile["mean_batch_size"])
+        for kind, count in profile["dispatched_by_kind"].items():
+            kernel.dispatched.child(kind).set(count)
+        for kind, entry in profile["slab"].items():
+            kernel.slab_hit_rate.child(kind).set(entry["hit_rate"])
 
     def metrics_snapshot(self, include_kernel: bool = False) -> dict:
         """A JSON-friendly dump of every metric family, gauges freshly
@@ -493,7 +510,7 @@ class MoleculeRuntime:
         """
         self._refresh_gauges()
         if include_kernel:
-            self.obs.record_kernel_profile(self.sim.kernel_profile())
+            self._publish_kernel_profile()
         admitted = self.gateway.requests_admitted
         if self.frontend is not None:
             admitted += self.frontend.requests_admitted

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 from repro import config
+from repro.obs.metrics import MetricSpec
 from repro.sim.rng import SeededRng
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -292,7 +293,9 @@ class HealthRegistry:
 
     def _observe(self, pu, before: BreakerState, after: BreakerState) -> None:
         if self.obs is not None and before is not after:
-            self.obs.on_breaker_transition(pu.name, after.value)
+            self.obs.metrics.breaker_transitions_total.child(
+                pu.name, after.value
+            ).inc()
 
     # -- reporting ---------------------------------------------------------------
 
@@ -317,6 +320,15 @@ class DeadLetter:
     errors: tuple[str, ...]
     enqueued_at: float
     reason: str = "retries_exhausted"
+
+
+#: Registered at the first eviction: only bounded queues that actually
+#: overflow ever see it.
+DEAD_LETTER_OVERFLOW = MetricSpec(
+    "repro_dead_letter_overflow_total", "counter",
+    "Dead letters evicted (drop-oldest) by a bounded "
+    "dead-letter queue at capacity.",
+)
 
 
 class DeadLetterQueue:
@@ -354,7 +366,7 @@ class DeadLetterQueue:
             self._entries.popleft()
             self.overflowed += 1
             if self.obs is not None:
-                self.obs.on_dead_letter_overflow()
+                self.obs.registry.register(DEAD_LETTER_OVERFLOW).inc()
         return entry
 
     def entries(self) -> list[DeadLetter]:

@@ -158,7 +158,7 @@ class Scheduler:
                 self._observe_placement(pu)
                 return pu
         if self.obs is not None:
-            self.obs.on_placement_failure()
+            self.obs.metrics.placement_failures_total.inc()
         raise SchedulingError(
             f"no PU has capacity for {function.name!r} "
             f"({function.code.memory_mb}MB over {[p.name for p in candidates]})"
@@ -186,7 +186,7 @@ class Scheduler:
 
     def _observe_placement(self, pu: ProcessingUnit) -> None:
         if self.obs is not None:
-            self.obs.on_placement(pu.kind.value)
+            self.obs.metrics.placements_total.child(pu.kind.value).inc()
 
     def release(self, function: FunctionDef, pu: ProcessingUnit) -> None:
         """Return the memory reservation of a dead instance."""

@@ -98,7 +98,7 @@ class FaultInjector:
         }[spec.kind]
         handler(spec)
         self.fired.append((self.runtime.sim.now, spec))
-        self.runtime.obs.on_fault_injected(spec.kind.value)
+        self.runtime.obs.metrics.faults_injected_total.child(spec.kind.value).inc()
 
     def _fire_pu_crash(self, spec: FaultSpec) -> None:
         runtime = self.runtime

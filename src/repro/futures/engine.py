@@ -59,6 +59,7 @@ from repro.futures.partitioner import (
 )
 from repro.hardware.pu import PuKind
 from repro.hedging.engine import HedgeConfig, HedgePolicy
+from repro.obs.metrics import MetricSpec
 from repro.obs.spans import FANOUT_STAGES, START_FANOUT
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -212,6 +213,34 @@ class _TaskPolicy:
         return state
 
 
+#: Families the fan-out engine owns, registered when it is wired.
+FANOUT_METRICS = {
+    "jobs": MetricSpec(
+        "repro_fanout_jobs", "counter",
+        "Fan-out jobs (map / map_reduce) submitted to the futures "
+        "engine.",
+        ("function",),
+    ),
+    "tasks": MetricSpec(
+        "repro_fanout_tasks", "counter",
+        "Per-partition fan-out tasks by terminal fate "
+        "(done | shed | error).",
+        ("function", "outcome"),
+    ),
+    "batches": MetricSpec(
+        "repro_fanout_batches", "counter",
+        "Deterministic admission chunks dispatched by the batched "
+        "fan-out submitter.",
+    ),
+    "speculations": MetricSpec(
+        "repro_fanout_speculations", "counter",
+        "Straggler partitions speculatively re-executed through the "
+        "hedging clone path during gather.",
+        ("function",),
+    ),
+}
+
+
 class FanoutEngine:
     """Plans and drives fan-out jobs over one Molecule runtime."""
 
@@ -256,8 +285,9 @@ class FanoutEngine:
             name: [] for name in FANOUT_STAGES
         }
         self._seq = itertools.count(0)
+        self.metrics = None
         if runtime.obs is not None:
-            runtime.obs.ensure_fanout_metrics()
+            self.metrics = runtime.obs.registry.register_table(FANOUT_METRICS)
 
     @property
     def sim(self):
@@ -297,8 +327,8 @@ class FanoutEngine:
         obs = self.runtime.obs
         start = sim.now
         self.jobs += 1
-        if obs is not None:
-            obs.on_fanout_job(function)
+        if self.metrics is not None:
+            self.metrics.jobs.child(function).inc()
         trace = (
             obs.begin_invocation(function)
             if obs is not None else None
@@ -426,7 +456,7 @@ class FanoutEngine:
     def _admit(self, futures: list[FanoutFuture], map_fn: Callable,
                function: str, frontend) -> int:
         """Generator: dispatch tasks in deterministic chunks."""
-        obs = self.runtime.obs
+        metrics = self.metrics
         chunk_size = max(1, self.config.chunk_size)
         job_batches = 0
         for lo in range(0, len(futures), chunk_size):
@@ -440,8 +470,8 @@ class FanoutEngine:
                 )
             self.batches += 1
             job_batches += 1
-            if obs is not None:
-                obs.on_fanout_batch()
+            if metrics is not None:
+                metrics.batches.inc()
             if (self.config.admit_stagger_s > 0
                     and lo + chunk_size < len(futures)):
                 yield self.sim.timeout(self.config.admit_stagger_s)
@@ -450,7 +480,7 @@ class FanoutEngine:
     def _task(self, future: FanoutFuture, map_fn: Callable, function: str,
               frontend):
         """Generator: one partition task through the real invoke path."""
-        obs = self.runtime.obs
+        metrics = self.metrics
         policy = (
             _TaskPolicy(self.speculation, future)
             if self.speculation is not None else None
@@ -475,13 +505,13 @@ class FanoutEngine:
             (round(self.sim.now, 9), future.seq, future.outcome)
         )
         self.task_samples.append(future.finished_s - future.dispatched_s)
-        if obs is not None:
-            obs.on_fanout_task(function, future.outcome)
+        if metrics is not None:
+            metrics.tasks.child(function, future.outcome).inc()
 
     def _gather(self, futures: list[FanoutFuture], fdef) -> int:
         """Generator: threshold wait, then the straggler sweep."""
         sim = self.sim
-        obs = self.runtime.obs
+        metrics = self.metrics
         threshold = max(
             1, int(-(-len(futures) * self.config.gather_threshold // 1))
         )
@@ -513,8 +543,8 @@ class FanoutEngine:
                 future.speculated = True
                 speculated += 1
                 self.speculations += 1
-                if obs is not None:
-                    obs.on_fanout_speculated(future.function)
+                if metrics is not None:
+                    metrics.speculations.child(future.function).inc()
 
     def _raise_partial_failure(self, function: str,
                                futures: list[FanoutFuture]) -> None:

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.errors import SchedulingError
 from repro.hedging.tracker import LatencyTracker
+from repro.obs.metrics import MetricSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.molecule import MoleculeRuntime
@@ -155,6 +156,41 @@ class _HedgeState:
         return self.winner is not None and self.winner[0] != tag
 
 
+#: Families the hedging engine owns, registered when a policy is built.
+HEDGE_METRICS = {
+    "fired": MetricSpec(
+        "repro_hedge_fired", "counter",
+        "Hedge clones launched after the percentile trigger fired "
+        "with the primary copy still in flight.",
+        ("function",),
+    ),
+    "won": MetricSpec(
+        "repro_hedge_won", "counter",
+        "Hedged requests answered by the clone (the primary lost "
+        "the first-wins race).",
+        ("function",),
+    ),
+    "cancelled": MetricSpec(
+        "repro_hedge_cancelled", "counter",
+        "Hedge clones torn down at a cancellation checkpoint after "
+        "the primary answered first.",
+        ("function",),
+    ),
+    "wasted_seconds": MetricSpec(
+        "repro_hedge_wasted_seconds", "counter",
+        "Execution seconds burned by losing hedge copies and then "
+        "discarded.",
+        ("function",),
+    ),
+    "throttled": MetricSpec(
+        "repro_hedge_throttled", "counter",
+        "Hedge clones refused by the global token-bucket budget "
+        "(out of tokens, waste ceiling, or overload brownout).",
+        ("function",),
+    ),
+}
+
+
 class HedgePolicy:
     """Decides when to hedge and accounts for what hedging cost."""
 
@@ -192,8 +228,9 @@ class HedgePolicy:
         #: A "lost" primary is one whose clone answered first — the
         #: sign the PU was the slow side of the race.
         self.pu_stats: dict[str, dict] = {}
+        self.metrics = None
         if runtime.obs is not None:
-            runtime.obs.ensure_hedge_metrics()
+            self.metrics = runtime.obs.registry.register_table(HEDGE_METRICS)
         # ``wire=False`` builds a free-standing policy (the fan-out
         # engine's straggler speculation) that must not become the
         # runtime-wide hedger: it is passed per request instead.
@@ -278,16 +315,16 @@ class HedgePolicy:
             if not self.budget.try_fire(self.wasted_cost, total_cost):
                 self.skipped += 1
                 self.throttled += 1
-                if self.runtime.obs is not None:
-                    self.runtime.obs.on_hedge_throttled(function.name)
+                if self.metrics is not None:
+                    self.metrics.throttled.child(function.name).inc()
                 return False
         state.fired = True
         state.exclude = primary_pu
         state.pending += 1
         self.fired += 1
         self._pu_stat(primary_pu.name)["primaries"] += 1
-        if self.runtime.obs is not None:
-            self.runtime.obs.on_hedge_fired(function.name)
+        if self.metrics is not None:
+            self.metrics.fired.child(function.name).inc()
         state.event = {
             "request_id": state.request_id,
             "function": function.name,
@@ -307,8 +344,8 @@ class HedgePolicy:
                 state.event["clone_pu"] = result.pu_name
         if tag == "clone":
             self.won += 1
-            if self.runtime.obs is not None:
-                self.runtime.obs.on_hedge_won(state.function.name)
+            if self.metrics is not None:
+                self.metrics.won.child(state.function.name).inc()
             if state.event is not None:
                 self._pu_stat(state.event["primary_pu"])["lost"] += 1
 
@@ -317,16 +354,18 @@ class HedgePolicy:
         """A losing copy was torn down (or died after the win)."""
         if tag == "clone":
             self.cancelled += 1
-            if self.runtime.obs is not None:
-                self.runtime.obs.on_hedge_cancelled(state.function.name)
+            if self.metrics is not None:
+                self.metrics.cancelled.child(state.function.name).inc()
             if state.event is not None and state.event["clone_pu"] is None:
                 used = attempt_info.get("pu")
                 if used is not None:
                     state.event["clone_pu"] = used.name
         if wasted_s > 0.0:
             self.wasted_s += wasted_s
-            if self.runtime.obs is not None:
-                self.runtime.obs.on_hedge_wasted(state.function.name, wasted_s)
+            if self.metrics is not None:
+                self.metrics.wasted_seconds.child(state.function.name).inc(
+                    wasted_s
+                )
             if state.event is not None:
                 state.event["wasted_ms"] += round(wasted_s * 1000.0, 6)
 

@@ -30,6 +30,7 @@ from repro.core.gateway import ApiGateway
 from repro.core.reliability import BreakerState, CircuitBreaker
 from repro.errors import RequestShed, SchedulingError
 from repro.hardware.pu import PuKind
+from repro.obs.metrics import MetricSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.molecule import MoleculeRuntime
@@ -163,6 +164,26 @@ class GatewayShard:
         return busy / elapsed_s if elapsed_s > 0 else 0.0
 
 
+#: Families the sharded front end owns, registered when one is built.
+SHARD_METRICS = {
+    "routed_total": MetricSpec(
+        "repro_shard_routed_total", "counter",
+        "Requests routed to a gateway shard, by shard and policy.",
+        ("shard", "policy"),
+    ),
+    "outstanding": MetricSpec(
+        "repro_shard_outstanding", "gauge",
+        "In-flight requests per gateway shard (snapshot time).",
+        ("shard",),
+    ),
+    "utilization": MetricSpec(
+        "repro_shard_utilization", "gauge",
+        "Busy-time fraction per gateway shard (snapshot time).",
+        ("shard",),
+    ),
+}
+
+
 class ShardedFrontend:
     """N gateway shards feeding one runtime's shared scheduler."""
 
@@ -184,8 +205,9 @@ class ShardedFrontend:
         self.runtime = runtime
         self.policy = policy
         self.ring = HashRing(num_shards, vnodes=vnodes)
+        self.metrics = None
         if runtime.obs is not None:
-            runtime.obs.ensure_shard_metrics()
+            self.metrics = runtime.obs.registry.register_table(SHARD_METRICS)
         deadline = (
             default_deadline_s
             if default_deadline_s is not None
@@ -236,8 +258,8 @@ class ShardedFrontend:
             shard = self._route_locality(function, kind)
         else:
             shard = self.shards[self.ring.route(function)]
-        if self.runtime.obs is not None:
-            self.runtime.obs.on_shard_routed(shard.index, self.policy)
+        if self.metrics is not None:
+            self.metrics.routed_total.child(str(shard.index), self.policy).inc()
         return shard
 
     def _route_least_outstanding(self) -> GatewayShard:

@@ -14,6 +14,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricFamily,
+    MetricSpec,
     MetricsRegistry,
     ObsError,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "Histogram",
     "LIFECYCLE_PHASES",
     "MetricFamily",
+    "MetricSpec",
     "MetricsRegistry",
     "NULL_TRACE",
     "NullRequestTrace",

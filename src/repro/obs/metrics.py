@@ -10,6 +10,12 @@ Three instrument kinds are supported:
 * :class:`Histogram` — fixed bucket boundaries plus p50/p95/p99
   quantile estimation by linear interpolation within buckets.
 
+Families are declared as :class:`MetricSpec` rows in a table owned by
+the module that updates them, and :meth:`MetricsRegistry.register_table`
+registers the rows (get-or-register: a repeat returns the existing
+family).  Call sites then update one series through
+:meth:`MetricFamily.child`, whose memoized fast path is one dict lookup.
+
 The registry renders both the Prometheus text exposition format
 (:meth:`MetricsRegistry.expose`) and a JSON-able dict
 (:meth:`MetricsRegistry.to_dict`) that ``analysis.report`` and the
@@ -21,7 +27,10 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Optional, Sequence
+from bisect import bisect_left
+from functools import partial
+from types import SimpleNamespace
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import ReproError
 
@@ -170,10 +179,8 @@ class Histogram:
         """Record one observation."""
         self._sum += value
         self._count += 1
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self._counts[i] += 1
-                return
+        # First bound >= value: the bucket ``value <= bound`` selects.
+        self._counts[bisect_left(self.bounds, value)] += 1
 
     def bucket_counts(self) -> list[tuple[float, int]]:
         """Cumulative (upper_bound, count) pairs, Prometheus-style."""
@@ -235,6 +242,20 @@ class Histogram:
         raise NotImplementedError  # rendered by the family (needs le label)
 
 
+class MetricSpec(NamedTuple):
+    """One row of a metric table: a family's full schema."""
+
+    name: str
+    kind: str  # "counter" | "gauge" | "histogram"
+    help: str
+    labelnames: tuple[str, ...] = ()
+    #: Histogram bucket boundaries (``None``: DEFAULT_BUCKETS).
+    buckets: Optional[tuple[float, ...]] = None
+
+
+_INSTRUMENTS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+
+
 class MetricFamily:
     """One named metric with a fixed label schema and many children."""
 
@@ -254,12 +275,36 @@ class MetricFamily:
         self.max_series = max_series
         self._child_factory = child_factory
         self._children: dict[tuple[str, ...], object] = {}
-        #: Memoized label-less child (label-less families are their own
-        #: single series; resolving it per observation is wasted work).
-        self._single: object = None
+
+    def child(self, *labelvalues: str):
+        """The child series for positional label values, in declared
+        label order.  Memoized: after a series' first use this is one
+        dict lookup.  Values must be ``str`` so one label set never
+        lives under two keys.
+        """
+        try:
+            return self._children[labelvalues]
+        except KeyError:
+            return self._add_series(labelvalues)
+
+    def _add_series(self, key: tuple):
+        if len(key) != len(self.labelnames):
+            raise ObsError(
+                f"metric {self.name!r} takes labels {list(self.labelnames)}; "
+                f"got {len(key)} values {key}"
+            )
+        if not all(type(value) is str for value in key):
+            raise ObsError(f"metric {self.name!r} label values must be str: {key}")
+        if len(self._children) >= self.max_series:
+            raise ObsError(
+                f"metric {self.name!r} exceeded {self.max_series} series; "
+                f"a label is unbounded (offending values: {key})"
+            )
+        child = self._children[key] = self._child_factory()
+        return child
 
     def labels(self, **labelvalues):
-        """The child series for one label-value assignment.
+        """The child series for one label-value assignment, by name.
 
         Every declared label must be given, and nothing else — silent
         label drift is how dashboards rot.
@@ -273,61 +318,38 @@ class MetricFamily:
                 f"metric {self.name!r} labels mismatch: "
                 f"missing={sorted(missing)} unexpected={sorted(extra)}"
             )
-        key = tuple(str(labelvalues[name]) for name in self.labelnames)
-        child = self._children.get(key)
-        if child is None:
-            if len(self._children) >= self.max_series:
-                raise ObsError(
-                    f"metric {self.name!r} exceeded {self.max_series} series; "
-                    f"a label is unbounded (offending values: {key})"
-                )
-            child = self._child_factory()
-            self._children[key] = child
-        return child
+        return self.child(*(str(labelvalues[name]) for name in self.labelnames))
 
-    def bind(self, **labelvalues):
-        """Resolve one label assignment to its child handle, once.
-
-        Identical to :meth:`labels`, but named for its intended use:
-        resolve at *wiring time* and keep the returned handle, calling
-        ``inc``/``set``/``observe`` on it directly — hot paths should
-        never pay the label-dict validation per observation.
-        """
-        return self.labels(**labelvalues)
-
-    def _default_child(self):
-        child = self._single
-        if child is None:
-            if self.labelnames:
-                raise ObsError(
-                    f"metric {self.name!r} has labels {list(self.labelnames)}; "
-                    "use .labels(...)"
-                )
-            child = self._single = self.labels()
-        return child
+    def _sole_series(self):
+        if self.labelnames:
+            raise ObsError(
+                f"metric {self.name!r} has labels {list(self.labelnames)}; "
+                "use .child(...) or .labels(...)"
+            )
+        return self.child()
 
     # Label-less convenience: the family acts as its single child.
 
     def inc(self, amount: float = 1.0) -> None:
         """Increment the label-less series."""
-        self._default_child().inc(amount)
+        self._sole_series().inc(amount)
 
     def dec(self, amount: float = 1.0) -> None:
         """Decrement the label-less gauge series."""
-        self._default_child().dec(amount)
+        self._sole_series().dec(amount)
 
     def set(self, value: float) -> None:
         """Set the label-less gauge series."""
-        self._default_child().set(value)
+        self._sole_series().set(value)
 
     def observe(self, value: float) -> None:
         """Observe into the label-less histogram series."""
-        self._default_child().observe(value)
+        self._sole_series().observe(value)
 
     @property
     def value(self) -> float:
         """Value of the label-less series."""
-        return self._default_child().value
+        return self._sole_series().value
 
     def series(self) -> list[tuple[dict[str, str], object]]:
         """(labels dict, child) pairs in sorted label order."""
@@ -377,36 +399,80 @@ class MetricFamily:
         return lines
 
 
+def _normalized(spec: MetricSpec) -> MetricSpec:
+    if spec.kind not in _INSTRUMENTS:
+        raise ObsError(f"unknown metric kind for {spec.name!r}: {spec.kind!r}")
+    buckets = None
+    if spec.kind == "histogram":
+        bounds = DEFAULT_BUCKETS if spec.buckets is None else spec.buckets
+        buckets = tuple(float(b) for b in bounds)
+    elif spec.buckets is not None:
+        raise ObsError(f"{spec.kind} {spec.name!r} takes no buckets")
+    return spec._replace(labelnames=tuple(spec.labelnames), buckets=buckets)
+
+
 class MetricsRegistry:
     """All metric families of one runtime, in registration order."""
 
     def __init__(self, max_series_per_family: int = 1000):
         self.max_series_per_family = max_series_per_family
         self._families: dict[str, MetricFamily] = {}
+        self._specs: dict[str, MetricSpec] = {}
 
-    def _register(self, name, help_text, labelnames, factory, kind) -> MetricFamily:
+    def _register(self, spec: MetricSpec) -> MetricFamily:
+        spec = _normalized(spec)
+        name = spec.name
         if not _NAME_RE.match(name):
             raise ObsError(f"invalid metric name: {name!r}")
-        for label in labelnames:
+        for label in spec.labelnames:
             if not _LABEL_RE.match(label) or label == "le":
                 raise ObsError(f"invalid label name for {name!r}: {label!r}")
         if name in self._families:
             raise ObsError(f"metric {name!r} already registered")
+        factory = _INSTRUMENTS[spec.kind]
+        if spec.buckets is not None:
+            factory = partial(Histogram, spec.buckets)
         family = MetricFamily(
-            name, help_text, labelnames, factory, kind, self.max_series_per_family
+            name, spec.help, spec.labelnames, factory, spec.kind,
+            self.max_series_per_family,
         )
         self._families[name] = family
+        self._specs[name] = spec
         return family
+
+    def register(self, spec: MetricSpec) -> MetricFamily:
+        """Get-or-register the family ``spec`` declares.
+
+        The first call registers it; a repeat with the same schema
+        returns the existing family, and one with a different kind,
+        help text, labels or buckets raises :class:`ObsError`.
+        """
+        family = self._families.get(spec.name)
+        if family is None:
+            return self._register(spec)
+        if self._specs[spec.name] != _normalized(spec):
+            raise ObsError(
+                f"metric {spec.name!r} already registered as "
+                f"{self._specs[spec.name]}; conflicting spec {spec}"
+            )
+        return family
+
+    def register_table(self, table: Mapping[str, MetricSpec]) -> SimpleNamespace:
+        """Get-or-register every row of ``table`` in order; returns the
+        families as attributes named by the table's keys."""
+        return SimpleNamespace(
+            **{key: self.register(spec) for key, spec in table.items()}
+        )
 
     def counter(self, name: str, help_text: str,
                 labelnames: Sequence[str] = ()) -> MetricFamily:
         """Register a counter family."""
-        return self._register(name, help_text, labelnames, Counter, "counter")
+        return self._register(MetricSpec(name, "counter", help_text, labelnames))
 
     def gauge(self, name: str, help_text: str,
               labelnames: Sequence[str] = ()) -> MetricFamily:
         """Register a gauge family."""
-        return self._register(name, help_text, labelnames, Gauge, "gauge")
+        return self._register(MetricSpec(name, "gauge", help_text, labelnames))
 
     def histogram(
         self,
@@ -416,9 +482,8 @@ class MetricsRegistry:
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> MetricFamily:
         """Register a histogram family with fixed bucket boundaries."""
-        bounds = tuple(buckets)
         return self._register(
-            name, help_text, labelnames, lambda: Histogram(bounds), "histogram"
+            MetricSpec(name, "histogram", help_text, labelnames, tuple(buckets))
         )
 
     def get(self, name: str) -> MetricFamily:

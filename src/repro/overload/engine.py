@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import RequestShed
+from repro.obs.metrics import MetricSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.molecule import MoleculeRuntime
@@ -327,6 +328,40 @@ class AdmissionGate:
         }
 
 
+#: Families the overload controller owns, registered when it is wired.
+OVERLOAD_METRICS = {
+    "shed_total": MetricSpec(
+        "repro_shed_total", "counter",
+        "Requests shed at shard admission by the overload "
+        "controller, by reason (queue_full | predicted_wait | "
+        "deadline).",
+        ("function", "reason"),
+    ),
+    "limit": MetricSpec(
+        "repro_overload_limit", "gauge",
+        "Adaptive AIMD concurrency limit per gateway shard "
+        "(snapshot time).",
+        ("shard",),
+    ),
+    "queue_depth": MetricSpec(
+        "repro_overload_queue_depth", "gauge",
+        "Bounded admission-queue depth per gateway shard "
+        "(snapshot time).",
+        ("shard",),
+    ),
+    "pressure": MetricSpec(
+        "repro_overload_pressure", "gauge",
+        "Saturation signal: worst shard's queue-fill x limit "
+        "utilization (snapshot time).",
+    ),
+    "brownout_total": MetricSpec(
+        "repro_overload_brownout_total", "counter",
+        "Brownout state transitions (enter | exit).",
+        ("state",),
+    ),
+}
+
+
 class OverloadController:
     """Per-shard adaptive admission, deadline shedding and brownout.
 
@@ -359,8 +394,9 @@ class OverloadController:
         self._brownout_since: Optional[float] = None
         self.prewarm_suppressed = 0
         self.degraded_forced = 0
+        self.metrics = None
         if runtime.obs is not None:
-            runtime.obs.ensure_overload_metrics()
+            self.metrics = runtime.obs.registry.register_table(OVERLOAD_METRICS)
         runtime.invoker.overload = self
         # Bound the dead-letter queue so a sustained overload cannot
         # grow it without limit (drop-oldest; see DeadLetterQueue).
@@ -444,9 +480,8 @@ class OverloadController:
             "at_s": round(self.sim.now, 9),
             "waited_s": round(waited_s, 9),
         })
-        obs = self.runtime.obs
-        if obs is not None:
-            obs.on_shed(function.name, reason)
+        if self.metrics is not None:
+            self.metrics.shed_total.child(function.name, reason).inc()
         raise RequestShed(
             f"request {request_id} for {function.name!r} shed at "
             f"admission ({reason})",
@@ -510,8 +545,8 @@ class OverloadController:
         self.brownout_entries += 1
         self._brownout_since = self.sim.now
         self._set_hedge_throttle(True)
-        if self.runtime.obs is not None:
-            self.runtime.obs.on_brownout(True)
+        if self.metrics is not None:
+            self.metrics.brownout_total.child("enter").inc()
 
     def _exit_brownout(self) -> None:
         self.brownout_active = False
@@ -519,8 +554,8 @@ class OverloadController:
             self._brownout_s += self.sim.now - self._brownout_since
             self._brownout_since = None
         self._set_hedge_throttle(False)
-        if self.runtime.obs is not None:
-            self.runtime.obs.on_brownout(False)
+        if self.metrics is not None:
+            self.metrics.brownout_total.child("exit").inc()
 
     def _set_hedge_throttle(self, active: bool) -> None:
         if not self.config.throttle_hedges:

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
+from repro.obs.metrics import MetricSpec
 from repro.reuse.cache import (
     CacheEntry,
     Flight,
@@ -84,6 +85,62 @@ class CacheHit:
         self.reason = reason
 
 
+#: Families the result-cache engine owns, registered when it is wired.
+REUSE_METRICS = {
+    "hits": MetricSpec(
+        "repro_reuse_hits", "counter",
+        "Requests answered from the result cache, by freshness "
+        "(fresh | singleflight | stale).",
+        ("function", "freshness"),
+    ),
+    "misses": MetricSpec(
+        "repro_reuse_misses", "counter",
+        "Cache consults that found no servable entry and led a "
+        "single-flight execution.",
+        ("function",),
+    ),
+    "stale": MetricSpec(
+        "repro_reuse_stale", "counter",
+        "Expired entries served stale, by trigger "
+        "(pressure | deadline | shed).",
+        ("reason",),
+    ),
+    "bypass": MetricSpec(
+        "repro_reuse_bypass", "counter",
+        "Requests that skipped the cache consult, by reason "
+        "(probe | nonidempotent | no_key).",
+        ("reason",),
+    ),
+    "singleflight": MetricSpec(
+        "repro_reuse_singleflight", "counter",
+        "Followers fanned a single-flight leader's result instead "
+        "of executing their own copy.",
+        ("function",),
+    ),
+    "evictions": MetricSpec(
+        "repro_reuse_evictions", "counter",
+        "Entries evicted by the cache's LRU/GDSF policy.",
+    ),
+    "invalidations": MetricSpec(
+        "repro_reuse_invalidations", "counter",
+        "Entries dropped by an invalidating deploy of their "
+        "function.",
+    ),
+    "cache_entries": MetricSpec(
+        "repro_reuse_cache_entries", "gauge",
+        "Entries resident in the result cache.",
+    ),
+    "cache_bytes": MetricSpec(
+        "repro_reuse_cache_bytes", "gauge",
+        "Bytes resident in the result cache.",
+    ),
+    "hit_ratio": MetricSpec(
+        "repro_reuse_hit_ratio", "gauge",
+        "Cached answers over all cache-consulting answers.",
+    ),
+}
+
+
 class ReuseEngine:
     """Deterministic result cache in front of the admission gate."""
 
@@ -105,8 +162,9 @@ class ReuseEngine:
         self.stale_by_reason: dict[str, int] = {}
         self.shed_downgrades = 0
         self.bypass_by_reason: dict[str, int] = {}
+        self.metrics = None
         if runtime.obs is not None:
-            runtime.obs.ensure_reuse_metrics()
+            self.metrics = runtime.obs.registry.register_table(REUSE_METRICS)
         runtime.invoker.reuse = self
 
     @property
@@ -162,8 +220,8 @@ class ReuseEngine:
             flight = self.flights.lookup(key)
             if flight is None:
                 self.misses += 1
-                if self.runtime.obs is not None:
-                    self.runtime.obs.on_reuse_miss(name)
+                if self.metrics is not None:
+                    self.metrics.misses.child(name).inc()
                 return (None, self.flights.begin(key))
             waiter = self.flights.join(flight, sim)
             yield waiter
@@ -232,16 +290,13 @@ class ReuseEngine:
             )
         else:
             self.served_fresh += 1
-        obs = self.runtime.obs
-        if obs is not None:
-            obs.on_reuse_hit(
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.hits.child(
                 function.name, "stale" if hit.stale else hit.reason
-            )
+            ).inc()
             if hit.stale:
-                obs.on_reuse_stale(hit.reason)
-            obs.on_reuse_cache_state(
-                len(self.cache), self.cache.bytes_used, self.hit_rate()
-            )
+                metrics.stale.child(hit.reason).inc()
 
     def note_executed(self) -> None:
         """One request answered by real execution (cacheable or not)."""
@@ -257,8 +312,8 @@ class ReuseEngine:
         self.bypass_by_reason[reason] = (
             self.bypass_by_reason.get(reason, 0) + 1
         )
-        if self.runtime.obs is not None:
-            self.runtime.obs.on_reuse_bypass(reason)
+        if self.metrics is not None:
+            self.metrics.bypass.child(reason).inc()
 
     def fill(self, flight: Flight, function: "FunctionDef", result,
              payload_bytes: int) -> CacheEntry:
@@ -282,15 +337,12 @@ class ReuseEngine:
         )
         evicted = self.cache.put(entry)
         served = self.flights.finish(flight, entry)
-        obs = self.runtime.obs
-        if obs is not None:
+        metrics = self.metrics
+        if metrics is not None:
             if evicted:
-                obs.on_reuse_evicted(len(evicted))
+                metrics.evictions.inc(len(evicted))
             if served:
-                obs.on_reuse_singleflight(name, served)
-            obs.on_reuse_cache_state(
-                len(self.cache), self.cache.bytes_used, self.hit_rate()
-            )
+                metrics.singleflight.child(name).inc(served)
         return entry
 
     def abort(self, flight: Flight) -> None:
@@ -302,8 +354,8 @@ class ReuseEngine:
         """Eagerly drop every entry of ``name`` (redeploy hook; the
         generation check also catches entries lazily)."""
         dropped = self.cache.invalidate_function(name)
-        if dropped and self.runtime.obs is not None:
-            self.runtime.obs.on_reuse_invalidated(dropped)
+        if dropped and self.metrics is not None:
+            self.metrics.invalidations.inc(dropped)
         return dropped
 
     # -- reporting ---------------------------------------------------------------------

@@ -119,7 +119,9 @@ class SandboxRuntime:
         """Report one OCI verb's duration (``began_s`` is the sim time
         captured at the verb's entry)."""
         if self.obs is not None:
-            self.obs.on_sandbox_verb(self.runtime_name, verb, self.sim.now - began_s)
+            self.obs.metrics.sandbox_verb_seconds.child(
+                self.runtime_name, verb
+            ).observe(self.sim.now - began_s)
 
     # -- OCI scalar interface -------------------------------------------------------
 

@@ -37,6 +37,7 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ReproError, SchedulingError
 from repro.hardware.pu import ProcessingUnit, PuKind
+from repro.obs.metrics import MetricSpec
 from repro.obs.spans import NULL_TRACE
 from repro.warmpath.coalesce import CoalescedBatch, ColdStartCoalescer
 from repro.warmpath.predictor import ArrivalPredictor
@@ -86,6 +87,48 @@ class WarmPathConfig:
     prefetch_min_rps: float = 0.5
 
 
+#: Families the warm-path engine owns, registered when it is wired.
+WARMPATH_METRICS = {
+    "coalesced_starts": MetricSpec(
+        "repro_coalesced_starts", "counter",
+        "Requests served by a coalesced single-flight cold-start "
+        "batch instead of an independent cold start.",
+        ("function",),
+    ),
+    "prewarm_spawned": MetricSpec(
+        "repro_prewarm_spawned", "counter",
+        "Instances forked ahead of demand by the pre-warmer.",
+        ("function",),
+    ),
+    "prewarm_hits": MetricSpec(
+        "repro_prewarm_hits", "counter",
+        "Pre-warmed instances claimed by a request before any use.",
+        ("function",),
+    ),
+    "prewarm_wasted": MetricSpec(
+        "repro_prewarm_wasted", "counter",
+        "Pre-warmed instances destroyed without serving anything.",
+        ("function",),
+    ),
+    "predicted_rps": MetricSpec(
+        "repro_predicted_rps", "gauge",
+        "Predicted near-term arrival rate per function "
+        "(refreshed every pre-warmer tick).",
+        ("function",),
+    ),
+    "prefetch_started": MetricSpec(
+        "repro_bitstream_prefetch_started", "counter",
+        "FPGA images programmed ahead of the triggering request.",
+        ("function",),
+    ),
+    "prefetch_hits": MetricSpec(
+        "repro_bitstream_prefetch_hits", "counter",
+        "FPGA starts served warm off a prefetched image.",
+        ("function",),
+    ),
+}
+
+
 class WarmPathEngine:
     """Coalescing + pre-warm + prefetch over one runtime's invoker."""
 
@@ -122,9 +165,9 @@ class WarmPathEngine:
         #: yet claimed by a request (consumed on first warm FPGA start).
         self._prefetched: set = set()
 
-        obs = runtime.obs
-        if obs is not None:
-            obs.ensure_warmpath_metrics()
+        self.metrics = None
+        if runtime.obs is not None:
+            self.metrics = runtime.obs.registry.register_table(WARMPATH_METRICS)
         runtime.invoker.engine = self
         if self.config.prewarm or self.config.prefetch:
             runtime.sim.spawn(self._prewarm_loop(), name="warmpath-prewarmer")
@@ -295,9 +338,8 @@ class WarmPathEngine:
     def on_coalesced_start(self, func_name: str) -> None:
         """A follower was served by a batch instead of a cold start."""
         self.coalesced_served += 1
-        obs = self.runtime.obs
-        if obs is not None:
-            obs.on_coalesced_start(func_name)
+        if self.metrics is not None:
+            self.metrics.coalesced_starts.child(func_name).inc()
 
     # -- pre-warm accounting ---------------------------------------------------------
 
@@ -308,9 +350,8 @@ class WarmPathEngine:
             if instance.requests_served == 0:
                 self.prewarm_hits += 1
                 self._outcomes.append(False)
-                obs = self.runtime.obs
-                if obs is not None:
-                    obs.on_prewarm_hit(instance.function.name)
+                if self.metrics is not None:
+                    self.metrics.prewarm_hits.child(instance.function.name).inc()
 
     def on_warm_acquire(self, instance: "FunctionInstance") -> None:
         """Invoker hook: a warm-pool acquire is about to serve a request."""
@@ -333,9 +374,8 @@ class WarmPathEngine:
             instance.prewarmed = False
             self.prewarm_wasted += 1
             self._outcomes.append(True)
-            obs = self.runtime.obs
-            if obs is not None:
-                obs.on_prewarm_wasted(instance.function.name)
+            if self.metrics is not None:
+                self.metrics.prewarm_wasted.child(instance.function.name).inc()
 
     # -- the PreWarmer process -------------------------------------------------------
 
@@ -391,15 +431,15 @@ class WarmPathEngine:
         self.ticks += 1
         self._admitted_since_tick = 0
         self._update_horizon_scale()
-        obs = runtime.obs
+        metrics = self.metrics
         for name in self.predictor.functions():
             try:
                 function = runtime.registry.get(name)
             except ReproError:  # pragma: no cover - unregistered name
                 continue
             predicted = self.predictor.predicted_rps(name, now)
-            if obs is not None:
-                obs.on_predicted_rps(name, predicted)
+            if metrics is not None:
+                metrics.predicted_rps.child(name).set(predicted)
             if self.config.adaptive_ttl:
                 self._adapt_ttl(function)
             if self.config.prewarm:
@@ -485,9 +525,8 @@ class WarmPathEngine:
             return
         instance.prewarmed = True
         self.prewarm_spawned += 1
-        obs = self.runtime.obs
-        if obs is not None:
-            obs.on_prewarm_spawned(function.name)
+        if self.metrics is not None:
+            self.metrics.prewarm_spawned.child(function.name).inc()
         if not invoker._is_alive(instance):
             invoker.sim.spawn(invoker._destroy(instance))
             return
@@ -518,7 +557,7 @@ class WarmPathEngine:
                 reaped += 1
         self.prewarm_reaped += reaped
         if reaped and self.runtime.obs is not None:
-            self.runtime.obs.on_keepalive_reaped(reaped)
+            self.runtime.obs.metrics.keepalive_reaped_total.inc(reaped)
 
     # -- bitstream prefetch ----------------------------------------------------------
 
@@ -591,9 +630,8 @@ class WarmPathEngine:
         if not ok:
             return
         self.prefetch_started += 1
-        obs = runtime.obs
-        if obs is not None:
-            obs.on_bitstream_prefetch_started(function.name)
+        if self.metrics is not None:
+            self.metrics.prefetch_started.child(function.name).inc()
         # The previous image (and any unclaimed marks on it) is gone.
         self._prefetched = {
             (pu_id, name) for pu_id, name in self._prefetched
@@ -626,9 +664,8 @@ class WarmPathEngine:
         if (pu_id, func_name) in self._prefetched:
             self._prefetched.discard((pu_id, func_name))
             self.prefetch_hits += 1
-            obs = self.runtime.obs
-            if obs is not None:
-                obs.on_bitstream_prefetch_hit(func_name)
+            if self.metrics is not None:
+                self.metrics.prefetch_hits.child(func_name).inc()
 
     # -- reporting -------------------------------------------------------------------
 

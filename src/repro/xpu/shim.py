@@ -206,7 +206,9 @@ class XpuShim:
         self.calls_served += 1
         obs = self.cluster.obs
         if obs is not None:
-            obs.on_xpucall(self.pu.kind.value, self.transport.value, round_trip)
+            labels = (self.pu.kind.value, self.transport.value)
+            obs.metrics.xpucalls_total.child(*labels).inc()
+            obs.metrics.xpucall_seconds.child(*labels).observe(round_trip)
 
     def _route_to(self, other_pu_id: int):
         return self.cluster.machine.interconnect.route(self.pu.pu_id, other_pu_id)
@@ -311,7 +313,7 @@ class XpuShim:
             if fault.mode == "delay":
                 yield self.sim.timeout(fault.delay_s)
                 if obs is not None:
-                    obs.on_nipc_delayed()
+                    obs.metrics.nipc_delayed_total.inc()
             else:  # drop: transport costs are still paid below
                 dropped = True
         if handle.is_local:
@@ -319,11 +321,12 @@ class XpuShim:
             yield self.sim.timeout(self.exec_pu.ipc_notify_time())
             if dropped:
                 if obs is not None:
-                    obs.on_nipc_dropped()
+                    obs.metrics.nipc_dropped_total.inc()
                 return size
             handle.fifo.deposit(payload, size)
             if obs is not None:
-                obs.on_nipc_message("local", size)
+                obs.metrics.nipc_messages_total.child("local").inc()
+                obs.metrics.nipc_bytes_total.child("local").inc(size)
             return size
         yield from self._xpucall_overhead()
         yield self.sim.timeout(self.exec_pu.copy_time(size))
@@ -332,11 +335,12 @@ class XpuShim:
         yield self.sim.timeout(handle.fifo.home_pu.op_time())
         if dropped:
             if obs is not None:
-                obs.on_nipc_dropped()
+                obs.metrics.nipc_dropped_total.inc()
             return size
         handle.fifo.deposit(payload, size)
         if obs is not None:
-            obs.on_nipc_message("cross", size)
+            obs.metrics.nipc_messages_total.child("cross").inc()
+            obs.metrics.nipc_bytes_total.child("cross").inc(size)
         return size
 
     def xfifo_read(self, caller: CapGroup, handle: XpuFifoHandle):

@@ -35,7 +35,8 @@ def test_engine_off_matches_golden_snapshot():
 def test_engine_off_runtime_has_no_fanout_surface():
     runtime = MoleculeRuntime.create(num_dpus=1, seed=3)
     assert runtime.fanout is None
-    assert runtime.obs.fanout_jobs_total is None
+    names = [family.name for family in runtime.obs.registry.families()]
+    assert not [name for name in names if name.startswith("repro_fanout_")]
 
 
 # -- map / map_reduce correctness --------------------------------------------------

@@ -11,6 +11,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    MetricSpec,
     MetricsRegistry,
     ObsError,
 )
@@ -65,6 +66,16 @@ def test_histogram_buckets_are_cumulative():
     ]
     assert h.count == 5
     assert h.sum == pytest.approx(106.5)
+    # A value exactly on a bound lands in that bound's bucket (le is
+    # inclusive); the next float above it lands one bucket up, and
+    # +inf lands in the implicit +Inf bucket.
+    edges = Histogram(buckets=(1.0, 2.0, 4.0))
+    for v in (1.0, math.nextafter(1.0, 2.0), 2.0, 4.0,
+              math.nextafter(4.0, 5.0), math.inf, 0.0, -1.0):
+        edges.observe(v)
+    assert edges.bucket_counts() == [
+        (1.0, 3), (2.0, 5), (4.0, 6), (math.inf, 8),
+    ]
 
 
 def test_histogram_rejects_unsorted_bounds():
@@ -131,6 +142,15 @@ def test_family_requires_exact_label_set():
         fam.labels(a="1")  # missing b
     with pytest.raises(ObsError):
         fam.labels(a="1", b="2", c="3")  # unexpected c
+    # The positional form checks the same schema.
+    assert fam.child("1", "2") is fam.labels(a="1", b="2")
+    assert fam.child("1", "2").value == 1
+    with pytest.raises(ObsError):
+        fam.child("1")  # too few values
+    with pytest.raises(ObsError):
+        fam.child("1", "2", "3")  # too many values
+    with pytest.raises(ObsError):
+        fam.child("1", 2)  # non-str value: would shadow ("1", "2")
 
 
 def test_family_children_are_distinct_series():
@@ -170,9 +190,12 @@ def test_family_cardinality_cap():
         fam.labels(a=str(i)).inc()
     with pytest.raises(ObsError):
         fam.labels(a="unbounded")
+    with pytest.raises(ObsError):
+        fam.child("unbounded")
     # Existing series stay reachable.
     fam.labels(a="0").inc()
-    assert fam.labels(a="0").value == 2
+    fam.child("0").inc()
+    assert fam.labels(a="0").value == 3
 
 
 def test_histogram_family_has_no_total():
@@ -191,6 +214,25 @@ def test_registry_rejects_duplicate_names():
     r.counter("x_total", "help.")
     with pytest.raises(ObsError):
         r.gauge("x_total", "help.")
+    # Get-or-register returns the family for the same schema and
+    # raises for any conflicting field.
+    spec = MetricSpec("y_seconds", "histogram", "help.", ("a",), (1.0, 2.0))
+    family = r.register(spec)
+    assert r.register(spec) is family
+    assert r.register(spec._replace(labelnames=["a"])) is family
+    assert r.register(MetricSpec("x_total", "counter", "help.")) is r.get("x_total")
+    for conflict in (
+        spec._replace(kind="gauge", buckets=None),
+        spec._replace(help="other help."),
+        spec._replace(labelnames=("b",)),
+        spec._replace(buckets=(1.0, 5.0)),
+        spec._replace(buckets=None),  # DEFAULT_BUCKETS differ
+    ):
+        with pytest.raises(ObsError):
+            r.register(conflict)
+    with pytest.raises(ObsError):
+        r.register(MetricSpec("x_total", "gauge", "help."))
+    assert list(r.families()) == [r.get("x_total"), family]
 
 
 def test_registry_validates_names_and_labels():

@@ -3,7 +3,9 @@
 A :class:`Tracer` records nested spans (request -> startup -> exec ->
 comm ...) against the simulation clock, giving experiments and users a
 structured timeline of where a request's latency went — the breakdowns
-behind Fig. 10/11 style analyses.
+behind Fig. 10/11 style analyses.  A span holds its children but no
+link back to its parent, so a finished tree is acyclic and reference
+counting frees it.
 """
 
 from __future__ import annotations
@@ -19,14 +21,13 @@ class TraceError(ReproError):
     """Invalid span nesting or lifecycle."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One named interval of simulated time."""
 
     name: str
     begin_s: float
     end_s: Optional[float] = None
-    parent: Optional["Span"] = None
     children: list["Span"] = field(default_factory=list)
     attributes: dict[str, object] = field(default_factory=dict)
 
@@ -50,6 +51,8 @@ class Span:
 class Tracer:
     """Records a tree of spans per logical trace."""
 
+    __slots__ = ("sim", "roots", "_stack")
+
     def __init__(self, sim: Simulator):
         self.sim = sim
         self.roots: list[Span] = []
@@ -57,18 +60,10 @@ class Tracer:
 
     def begin(self, name: str, **attributes) -> Span:
         """Open a span nested under the innermost open one."""
-        parent = self._stack[-1] if self._stack else None
-        span = Span(
-            name=name,
-            begin_s=self.sim.now,
-            parent=parent,
-            attributes=dict(attributes),
-        )
-        if parent is not None:
-            parent.children.append(span)
-        else:
-            self.roots.append(span)
-        self._stack.append(span)
+        stack = self._stack
+        span = Span(name, self.sim.now, attributes=attributes)
+        (stack[-1].children if stack else self.roots).append(span)
+        stack.append(span)
         return span
 
     def end(self, span: Span) -> Span:

@@ -61,6 +61,10 @@ class ApiGateway:
         """Absolute sim-time deadline of a request (None if unbounded)."""
         return self._deadlines.get(request_id)
 
+    def release(self, request_id: int) -> None:
+        """Forget a request's deadline once the request has settled."""
+        self._deadlines.pop(request_id, None)
+
     def admit(self, deadline_s: Optional[float] = None):
         """Generator: admit one request, returning its request id.
 

@@ -293,6 +293,7 @@ class Invoker:
             if self.obs is not None
             else NULL_TRACE
         )
+        request_id = None
         try:
             admit_span = trace.begin_phase("admit")
             request_id = yield from gateway.admit(deadline_s=deadline_s)
@@ -390,6 +391,9 @@ class Invoker:
         except Exception as exc:
             trace.fail(type(exc).__name__)
             raise
+        finally:
+            if request_id is not None:
+                gateway.release(request_id)
         result.admitted_s = admitted_s
         trace.finish()
         if hedger is not None and not result.cache:

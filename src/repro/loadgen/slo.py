@@ -1,13 +1,14 @@
 """SLO aggregation: percentiles, goodput and utilization -> BENCH_load.json.
 
 Takes the per-request :class:`~repro.loadgen.driver.RequestRecord`
-ground truth plus the runtime's lifecycle spans and distils the
+ground truth plus the runtime's streamed stage samples and distils the
 numbers an operator would page on:
 
 * end-to-end latency p50/p95/p99/p99.9 (nearest-rank, the artifact's
   convention) over answered requests;
 * per-stage percentiles (admit/schedule/sandbox_start/exec/respond)
-  from the observability span trees;
+  from the stage samples the observability hub streams as requests
+  finish;
 * goodput (answered/sec) against offered load, plus the machine-wide
   accounting invariant ``answered + dead_lettered == admitted``;
 * per-shard utilization (busy-time integral of the front end) and
@@ -105,13 +106,9 @@ def build_report(
     else:
         lost = admitted - len(answered) - dead - shed
 
-    # Per-stage latencies from the span trees.  Failed requests never
-    # publish phase histograms, so these cover answered requests only.
-    stage_samples: dict[str, list[float]] = {p: [] for p in LIFECYCLE_PHASES}
-    for trace in runtime.obs.completed_traces():
-        for name, duration_s in trace.phases().items():
-            if name in stage_samples:
-                stage_samples[name].append(duration_s)
+    # Per-stage latencies streamed by the trace sink.  Failed and shed
+    # requests never record phases, so these cover answered requests.
+    stage_samples = runtime.obs.stage_samples
 
     report = {
         "schema": SCHEMA,
@@ -159,9 +156,9 @@ def build_report(
         "latency": {
             "end_to_end": latency_block([r.latency_s for r in answered]),
             "stages": {
-                name: latency_block(samples)
-                for name, samples in stage_samples.items()
-                if samples
+                name: latency_block(stage_samples[name])
+                for name in LIFECYCLE_PHASES
+                if name in stage_samples
             },
         },
         "shards": (

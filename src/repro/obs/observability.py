@@ -19,7 +19,8 @@ Components below ``core.molecule`` take the hub as optional
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from collections import defaultdict, deque
 
 from repro.obs.metrics import MetricSpec, MetricsRegistry
 from repro.obs.spans import RequestTrace
@@ -183,22 +184,34 @@ CORE_METRICS = {
 
 
 class Observability:
-    """Metrics registry + lifecycle trace sink for one runtime."""
+    """Metrics registry + lifecycle trace sink for one runtime.
 
-    def __init__(self, sim, max_traces: int = 10_000):
+    Only the ``max_traces`` most recent traces are kept, so their
+    memory does not grow with run length; every completed request's
+    phase durations stream into :attr:`stage_samples` instead.
+    """
+
+    def __init__(self, sim, max_traces: int = 1024):
         self.sim = sim
         self.registry = MetricsRegistry()
         #: The core families, as attributes named by CORE_METRICS keys.
         self.metrics = self.registry.register_table(CORE_METRICS)
-        #: Completed request traces, oldest evicted first.
+        #: The most recent traces, oldest evicted first.
         self.traces: deque[RequestTrace] = deque(maxlen=max_traces)
+        #: Phase name -> the durations of that phase over every
+        #: completed request, in record order (last wins when a
+        #: request repeats a phase, as in ``RequestTrace.phases()``).
+        self.stage_samples: defaultdict[str, array] = defaultdict(
+            lambda: array("d")
+        )
 
     def begin_invocation(self, function: str) -> RequestTrace:
         """Open the span tree for one request."""
         return RequestTrace(self, function)
 
     def record(self, trace: RequestTrace) -> None:
-        """Publish a finished trace into the metric families."""
+        """Publish a finished trace into the metric families and the
+        stage samples."""
         root = trace.root
         attrs = root.attributes
         function = str(attrs.get("function", trace.function))
@@ -215,6 +228,9 @@ class Observability:
             phase(child.name, function, pu_kind, start_kind).observe(
                 child.duration_s
             )
+        samples = self.stage_samples
+        for name, duration_s in trace.phases().items():
+            samples[name].append(duration_s)
         self.traces.append(trace)
 
     def record_failure(self, trace: RequestTrace) -> None:

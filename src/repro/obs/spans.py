@@ -1,8 +1,8 @@
 """Per-invocation lifecycle spans over the simulated clock.
 
-Each admitted request gets a :class:`RequestTrace`: a dedicated
-:class:`~repro.analysis.trace.Tracer` whose root ``request`` span holds
-the lifecycle phases the paper's breakdowns reason about::
+Each admitted request gets a :class:`RequestTrace`: a
+:class:`~repro.analysis.trace.Tracer` of its own whose root ``request``
+span holds the lifecycle phases the paper's breakdowns reason about::
 
     request{function, request_id, pu, pu_kind, start_kind}
       admit           gateway admission
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.analysis.trace import Span, Tracer
+from repro.analysis.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.observability import Observability
@@ -63,27 +63,24 @@ START_FANOUT = "fanout"
 FANOUT_STAGES = ("partition", "fanout", "gather", "reduce")
 
 
-class RequestTrace:
+class RequestTrace(Tracer):
     """The span tree of one request, recorded against sim time."""
 
+    __slots__ = ("obs", "function", "root", "finished")
+
     def __init__(self, obs: "Observability", function: str):
+        super().__init__(obs.sim)
         self.obs = obs
         self.function = function
-        self.tracer = Tracer(obs.sim)
-        self.root = self.tracer.begin("request", function=function)
+        self.root = self.begin("request", function=function)
         self.finished = False
 
-    def begin_phase(self, name: str, **attributes) -> Span:
-        """Open a span nested under the innermost open one."""
-        return self.tracer.begin(name, **attributes)
-
-    def end_phase(self, span: Span) -> Span:
-        """Close the innermost open span."""
-        return self.tracer.end(span)
-
-    def phase(self, name: str, **attributes):
-        """Context-manager form of begin/end."""
-        return self.tracer.span(name, **attributes)
+    #: Open a span nested under the innermost open one.
+    begin_phase = Tracer.begin
+    #: Close the innermost open span.
+    end_phase = Tracer.end
+    #: Context-manager form of begin/end.
+    phase = Tracer.span
 
     def annotate(self, **attributes) -> None:
         """Attach attributes to the root ``request`` span."""
@@ -93,7 +90,7 @@ class RequestTrace:
         """Close the request span and publish the trace's metrics."""
         if self.finished:
             return
-        self.tracer.end(self.root)
+        self.end(self.root)
         self.finished = True
         self.obs.record(self)
 
@@ -101,13 +98,7 @@ class RequestTrace:
         """Abandon the trace on an error: unwind every open span, tag
         the root with the error, and count the failure (the phase
         histograms only ever see completed requests)."""
-        if self.finished:
-            return
-        while self.tracer._stack:
-            self.tracer.end(self.tracer._stack[-1])
-        self.finished = True
-        self.annotate(error=error)
-        self.obs.record_failure(self)
+        self._abandon(self.obs.record_failure, error=error)
 
     def shed(self, reason: str) -> None:
         """Abandon the trace for a load-shed request (repro.overload):
@@ -116,31 +107,31 @@ class RequestTrace:
         populations — a shed is deliberate back-pressure, not an
         error, and must not skew either the phase histograms or the
         failure counters."""
+        self._abandon(self.obs.record_shed, shed=reason)
+
+    def _abandon(self, record, **tag) -> None:
         if self.finished:
             return
-        while self.tracer._stack:
-            self.tracer.end(self.tracer._stack[-1])
+        self.unwind(keep=0)
         self.finished = True
-        self.annotate(shed=reason)
-        self.obs.record_shed(self)
+        self.annotate(**tag)
+        record(self)
 
-    def unwind(self) -> None:
-        """Close every open span except the root ``request`` span.
+    def unwind(self, keep: int = 1) -> None:
+        """Close open spans, innermost first, until only the outer
+        ``keep`` stay open (by default the root ``request`` span).
 
         The retry loop calls this between attempts: a failed or
         abandoned attempt leaves its phase spans open, and the next
         attempt's spans must nest directly under the root again.
         """
-        while len(self.tracer._stack) > 1:
-            self.tracer.end(self.tracer._stack[-1])
+        stack = self._stack
+        while len(stack) > keep:
+            self.end(stack[-1])
 
     def phases(self) -> dict[str, float]:
         """Phase name -> duration (direct children of the root)."""
         return {span.name: span.duration_s for span in self.root.children}
-
-    def render(self) -> str:
-        """Indented text timeline of the request."""
-        return self.tracer.render()
 
 
 class _NullSpan:

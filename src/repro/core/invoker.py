@@ -22,6 +22,7 @@ from repro.errors import (
     DeadlineExceeded,
     FaultInjectedError,
     HedgeCancelled,
+    Interrupt,
     RegistryError,
     ReliabilityError,
     ReproError,
@@ -52,6 +53,27 @@ from repro.sandbox.rung import GpuBackend
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.molecule import MoleculeRuntime
+
+
+def _deadline_fired(timer) -> None:
+    """Deadline-timer callback: wake a still-armed waiter one hop later.
+
+    ``timer.value`` is the request's cell: ``[waiting process]`` while
+    the attempt is in flight, ``[None]`` once it answered.  The wake
+    goes through one zero-delay NORMAL timeout, the position at which
+    an ``any_of`` race over (attempt, timer) would have dispatched, so
+    an attempt finishing at the deadline's own instant still answers.
+    """
+    cell = timer.value
+    if cell[0] is not None:
+        timer.sim.timeout(0.0, cell).callbacks.append(_deadline_wake)
+
+
+def _deadline_wake(hop) -> None:
+    """Interrupt the waiter unless its attempt answered meanwhile."""
+    waiter = hop.value[0]
+    if waiter is not None:
+        waiter.interrupt("deadline")
 
 
 @dataclass
@@ -449,12 +471,15 @@ class Invoker:
         """Generator: drive attempts until success, exhaustion or
         deadline.
 
-        Each attempt runs as its own process raced against the request
-        deadline.  When the deadline fires first the attempt is
-        *orphaned*, not interrupted: it finishes in the background so
-        every resource it holds (cores, DRAM, pool slots) is released
-        through the normal paths, while its trace proxy is detached so
-        it can no longer touch this request's span tree.
+        Each attempt runs as its own process; the request waits on it
+        directly while a deadline timer (see :func:`_deadline_fired`)
+        holds only a one-slot cell naming the waiting process, cleared
+        once the attempt answers.  When the deadline fires first the
+        *request* is interrupted and the attempt is *orphaned*: it
+        finishes in the background so every resource it holds (cores,
+        DRAM, pool slots) is released through the normal paths, while
+        its trace proxy is detached so it can no longer touch this
+        request's span tree.
         """
         gateway = gateway if gateway is not None else self.runtime.gateway
         deadline_at = gateway.deadline_for(request_id)
@@ -493,35 +518,43 @@ class Invoker:
                     force_cold, payload_bytes, exec_time_s, start,
                     shield, attempt_info,
                 )
-            proc = self.sim.spawn(
+            sim = self.sim
+            proc = sim.spawn(
                 attempt_gen,
                 name=f"attempt:{function.name}#{request_id}.{attempts}",
             )
-            race = proc
+            cell = None
             if deadline_at is not None:
-                race = self.sim.any_of(
-                    [proc, self.sim.timeout(deadline_at - self.sim.now)]
+                cell = [sim.active_process]
+                sim.timeout(deadline_at - sim.now, cell).callbacks.append(
+                    _deadline_fired
                 )
             try:
-                yield race
+                yield proc
+            except Interrupt:
+                # The deadline fired first.  An attempt that finished ok
+                # at the deadline's own instant still answers; any other
+                # is orphaned, and a late failure of it is defused.
+                if not (proc.triggered and proc.ok):
+                    proc.defuse()
+                    shield.detach()
+                    trace.unwind()
+                    self._expire(function, request_id, attempts, errors)
             except Exception as exc:  # the attempt failed
                 failure = exc
-            else:
-                if proc.triggered and proc.ok:
-                    result: InvocationResult = proc.value
-                    result.attempts = attempts
-                    result.degraded = degraded_any
-                    result.error = errors[-1] if errors else None
-                    if attempts > 1:
-                        trace.annotate(attempts=attempts)
-                    used = attempt_info.get("pu")
-                    if self.health is not None and used is not None:
-                        self.health.record_success(used)
-                    return result
-                # The deadline fired first: orphan the attempt.
-                shield.detach()
-                trace.unwind()
-                self._expire(function, request_id, attempts, errors)
+            if cell is not None:
+                cell[0] = None
+            if proc.ok:
+                result: InvocationResult = proc.value
+                result.attempts = attempts
+                result.degraded = degraded_any
+                result.error = errors[-1] if errors else None
+                if attempts > 1:
+                    trace.annotate(attempts=attempts)
+                used = attempt_info.get("pu")
+                if self.health is not None and used is not None:
+                    self.health.record_success(used)
+                return result
             # -- transient or terminal failure --------------------------------------
             trace.unwind()
             errors.append(f"{type(failure).__name__}: {failure}")

@@ -209,7 +209,7 @@ def build_report(
             "shed_rate": shed / len(records) if records else 0.0,
             # Clamped: after the last response the pressure signal is
             # frozen, so an open brownout interval stretches into the
-            # post-drain sim tail (orphaned deadline timers keep the
+            # post-drain sim tail (disarmed deadline timers keep the
             # clock ticking long past the measurement window).
             "brownout_fraction": (
                 min(1.0, overload.brownout_s() / sim_elapsed)

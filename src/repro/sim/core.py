@@ -37,7 +37,16 @@ batches**:
 * process resumption for already-processed targets, bootstrap and
   interrupts enqueues a pooled :class:`_Resume` record directly instead
   of allocating an intermediate wakeup :class:`Event`;
-* :meth:`Process.interrupt` tombstones its callback slot in O(1).
+* :meth:`Process.interrupt` tombstones its callback slot in O(1);
+* a finished :class:`Process` drops its generator and its cached
+  resume callback, so it holds no reference cycle and is freed by
+  reference counting rather than by the cyclic collector.
+
+While a process's generator runs, :attr:`Simulator.active_process`
+names it (SimPy's name; ``None`` between resumptions).  Code deep in
+a ``yield from`` chain uses it to hand its own process to a timer
+that may later :meth:`Process.interrupt` it, as the invoker's request
+deadline does.
 
 None of this changes the (time, priority, seq) ordering contract: a
 seeded run produces a byte-identical trace with or without batching.
@@ -290,16 +299,20 @@ class Process(Event):
 
     def _do_resume(self, ok: bool, value: Any) -> None:
         self._target = None
+        sim = self.sim
         generator = self.generator
+        sim.active_process = self
         try:
             if ok:
                 event = generator.send(value)
             else:
                 event = generator.throw(value)
         except StopIteration as stop:
+            sim.active_process = None
             self._finish(True, stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate via event
+            sim.active_process = None
             self._finish(False, exc)
             return
         if not isinstance(event, Event):
@@ -312,11 +325,13 @@ class Process(Event):
                 self._finish(True, stop.value)
             except BaseException as err:  # noqa: BLE001
                 self._finish(False, err)
+            sim.active_process = None
             return
+        sim.active_process = None
         if event._state == _PROCESSED:
             # Already-processed targets resume us directly (next step)
             # via an URGENT self-enqueue — no intermediate wakeup Event.
-            self.sim._enqueue_resume(self, event._ok, event._value)
+            sim._enqueue_resume(self, event._ok, event._value)
         else:
             self._target = event
             callbacks = event.callbacks
@@ -326,6 +341,11 @@ class Process(Event):
     def _finish(self, ok: bool, value: Any) -> None:
         if self._state != _PENDING:  # pragma: no cover - defensive
             return
+        # Break the self-cycle through the cached bound method and drop
+        # the spent generator: a finished process is freed by reference
+        # counting, not left for the cyclic collector.
+        self._resume_cb = None
+        self.generator = None
         self._ok = ok
         self._value = value
         self._state = _TRIGGERED
@@ -420,6 +440,9 @@ class Simulator:
     def __init__(self, batched: bool = True):
         self._now = 0.0
         self._batched = bool(batched)
+        #: The process whose generator is running right now (None
+        #: between resumptions); SimPy's name for it.
+        self.active_process: Optional[Process] = None
         #: Batched mode: heap of bare floats, one per distinct pending
         #: timestamp.  Reference mode: heap of ``(time, priority, seq,
         #: event)`` tuples.

@@ -1,9 +1,12 @@
 """Unit tests for the event kernel."""
 
+import gc
+
 import pytest
 
 from repro.errors import Interrupt, SimulationError
 from repro.sim import Simulator
+from repro.sim.core import Process
 
 
 def test_clock_starts_at_zero():
@@ -312,3 +315,57 @@ def test_is_alive_tracks_lifecycle():
     assert p.is_alive
     sim.run()
     assert not p.is_alive
+
+
+def test_active_process_names_the_running_process():
+    sim = Simulator()
+    seen = []
+
+    def proc(sim):
+        seen.append(sim.active_process)
+        yield sim.timeout(1.0)
+        seen.append(sim.active_process)
+
+    p = sim.spawn(proc(sim))
+    assert sim.active_process is None
+    sim.run()
+    assert seen == [p, p]
+    assert sim.active_process is None
+
+
+def test_finished_processes_leave_no_cycles_for_the_collector():
+    """Spawned, finished and dropped processes (ok, interrupted and
+    waited-on alike) are freed by reference counting: with
+    ``DEBUG_SAVEALL`` nothing the collector finds is a Process."""
+    sim = Simulator()
+
+    def child(sim):
+        yield sim.timeout(1.0)
+        return "done"
+
+    def sleeper(sim):
+        try:
+            yield sim.timeout(100.0)
+        except Interrupt:
+            return "woken"
+
+    def parent(sim):
+        value = yield sim.spawn(child(sim))
+        victim = sim.spawn(sleeper(sim))
+        yield sim.timeout(0.5)
+        victim.interrupt()
+        woken = yield victim
+        return value, woken
+
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(10):
+            sim.spawn(parent(sim))
+        sim.run()
+        gc.collect()
+        assert not [o for o in gc.garbage if isinstance(o, Process)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()

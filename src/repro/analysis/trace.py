@@ -58,22 +58,26 @@ class Tracer:
         self.roots: list[Span] = []
         self._stack: list[Span] = []
 
+    # begin/end run several times per simulated request, so they read
+    # the kernel's raw clock and build spans positionally.
+
     def begin(self, name: str, **attributes) -> Span:
         """Open a span nested under the innermost open one."""
         stack = self._stack
-        span = Span(name, self.sim.now, attributes=attributes)
+        span = Span(name, self.sim._now, None, [], attributes)
         (stack[-1].children if stack else self.roots).append(span)
         stack.append(span)
         return span
 
     def end(self, span: Span) -> Span:
         """Close a span; must be the innermost open one."""
-        if not self._stack or self._stack[-1] is not span:
+        stack = self._stack
+        if not stack or stack[-1] is not span:
             raise TraceError(f"span {span.name!r} is not the innermost open span")
         if span.end_s is not None:
             raise TraceError(f"span {span.name!r} already closed")
-        span.end_s = self.sim.now
-        self._stack.pop()
+        span.end_s = self.sim._now
+        stack.pop()
         return span
 
     def span(self, name: str, **attributes) -> "_SpanContext":

@@ -137,10 +137,13 @@ class CircuitBreaker:
             return not self.probe_in_flight
         return True
 
-    def begin_attempt(self, now: float) -> None:
-        """Mark an attempt in flight (claims the half-open probe slot)."""
-        if self.state is BreakerState.HALF_OPEN:
+    def begin_attempt(self, now: float) -> bool:
+        """Mark an attempt in flight; True when it claims the half-open
+        probe slot (the only case that changes :meth:`allows`)."""
+        if self.state is BreakerState.HALF_OPEN and not self.probe_in_flight:
             self.probe_in_flight = True
+            return True
+        return False
 
     def record_success(self, now: float) -> None:
         """An attempt on this PU completed: close the breaker."""
@@ -273,9 +276,12 @@ class HealthRegistry:
     # -- attempt outcomes ----------------------------------------------------------
 
     def begin_attempt(self, pu: "ProcessingUnit") -> None:
-        """An attempt is about to target ``pu`` (claims probe slots)."""
-        self.breaker(pu).begin_attempt(self.sim.now)
-        self._bump()
+        """An attempt is about to target ``pu``.  Only claiming a
+        half-open probe slot changes availability, so only that bumps
+        :attr:`version`; ordinary attempts keep the scheduler's
+        candidate cache valid."""
+        if self.breaker(pu).begin_attempt(self.sim.now):
+            self._bump()
 
     def record_success(self, pu: "ProcessingUnit") -> None:
         """An attempt on ``pu`` succeeded."""

@@ -204,6 +204,11 @@ class Observability:
         self.stage_samples: defaultdict[str, array] = defaultdict(
             lambda: array("d")
         )
+        #: ``(function, pu_kind, start_kind)`` label values -> the
+        #: request series under those labels: requests_total,
+        #: request_seconds and starts_total children, and a phase name
+        #: -> phase_seconds child map filled as phases appear.
+        self._request_series: dict[tuple, tuple] = {}
 
     def begin_invocation(self, function: str) -> RequestTrace:
         """Open the span tree for one request."""
@@ -211,27 +216,53 @@ class Observability:
 
     def record(self, trace: RequestTrace) -> None:
         """Publish a finished trace into the metric families and the
-        stage samples."""
+        stage samples.
+
+        Every phase span is observed in ``repro_phase_seconds``; a
+        phase the request repeated (a retry) reaches the stage samples
+        once, with its last duration, as in ``RequestTrace.phases()``.
+        """
         root = trace.root
         attrs = root.attributes
-        function = str(attrs.get("function", trace.function))
-        pu_kind = str(attrs.get("pu_kind", "unknown"))
-        start_kind = str(attrs.get("start_kind", "unknown"))
-        m = self.metrics
-        m.requests_total.child(function, pu_kind, start_kind).inc()
-        m.request_seconds.child(function, pu_kind, start_kind).observe(
-            root.duration_s
+        labels = (
+            str(attrs.get("function", trace.function)),
+            str(attrs.get("pu_kind", "unknown")),
+            str(attrs.get("start_kind", "unknown")),
         )
-        m.starts_total.child(start_kind).inc()
-        phase = m.phase_seconds.child
+        series = self._request_series.get(labels)
+        if series is None:
+            series = self._resolve_request_series(labels)
+        requests, latency, starts, phase_series = series
+        requests.inc()
+        # A finished trace's root and phases are closed (Tracer.end
+        # refuses to close the root over an open phase).
+        latency.observe(root.end_s - root.begin_s)
+        starts.inc()
+        last: dict[str, float] = {}
         for child in root.children:
-            phase(child.name, function, pu_kind, start_kind).observe(
-                child.duration_s
-            )
+            name = child.name
+            duration_s = child.end_s - child.begin_s
+            histogram = phase_series.get(name)
+            if histogram is None:
+                histogram = phase_series[name] = (
+                    self.metrics.phase_seconds.child(name, *labels)
+                )
+            histogram.observe(duration_s)
+            last[name] = duration_s
         samples = self.stage_samples
-        for name, duration_s in trace.phases().items():
+        for name, duration_s in last.items():
             samples[name].append(duration_s)
         self.traces.append(trace)
+
+    def _resolve_request_series(self, labels: tuple[str, str, str]) -> tuple:
+        m = self.metrics
+        series = self._request_series[labels] = (
+            m.requests_total.child(*labels),
+            m.request_seconds.child(*labels),
+            m.starts_total.child(labels[2]),
+            {},
+        )
+        return series
 
     def record_failure(self, trace: RequestTrace) -> None:
         """Count an abandoned trace without polluting the histograms."""

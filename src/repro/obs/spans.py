@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.analysis.trace import Tracer
+from repro.analysis.trace import Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.observability import Observability
@@ -69,10 +69,15 @@ class RequestTrace(Tracer):
     __slots__ = ("obs", "function", "root", "finished")
 
     def __init__(self, obs: "Observability", function: str):
-        super().__init__(obs.sim)
+        # Built directly rather than through Tracer.__init__ + begin:
+        # one of these is made per request.
+        self.sim = sim = obs.sim
         self.obs = obs
         self.function = function
-        self.root = self.begin("request", function=function)
+        root = Span("request", sim._now, None, [], {"function": function})
+        self.root = root
+        self.roots = [root]
+        self._stack = [root]
         self.finished = False
 
     #: Open a span nested under the innermost open one.
@@ -190,7 +195,15 @@ class DetachableTrace:
     DRAM) are released normally — and calls :meth:`detach` so every
     later span operation from the orphan lands on :data:`NULL_TRACE`
     instead of corrupting the request's real span stack.
+
+    Every call looks ``_trace`` up afresh.  Proxies nest (a hedged
+    primary's proxy wraps the attempt's), so detaching an outer proxy
+    must also silence every proxy built over it; caching the wrapped
+    trace's bound methods here would keep an inner proxy writing to
+    the real trace.
     """
+
+    __slots__ = ("_trace",)
 
     def __init__(self, trace):
         self._trace = trace

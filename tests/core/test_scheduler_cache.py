@@ -6,11 +6,16 @@ registry version, and recomputed when an OPEN breaker's cool-down
 elapses with no mutation at all (the ``valid_until`` path).
 """
 
+from pathlib import Path
+
 from repro import FunctionCode, FunctionDef, Language, PuKind, WorkProfile
 from repro.core.reliability import HealthRegistry
 from repro.core.scheduler import Scheduler
 from repro.hardware import build_cpu_dpu_machine
+from repro.loadgen import ArrivalPlan, OpenLoopDriver, build_runtime
 from repro.sim import Simulator
+
+GOLDEN_PLAN = Path(__file__).parent.parent / "loadgen" / "data" / "golden_plan.json"
 
 
 def fn(name="f", profiles=(PuKind.CPU, PuKind.DPU)):
@@ -105,3 +110,48 @@ def test_candidates_per_kind_cached_independently():
     trip_breaker(health, dpu)
     assert dpu not in scheduler.candidates(f, kind=PuKind.DPU)
     assert scheduler.candidates(f, kind=PuKind.CPU) == cpu_only
+
+
+def test_half_open_probe_claim_invalidates_candidates():
+    """Claiming the one half-open probe slot makes the PU unavailable
+    to everyone else, so it must bump the version."""
+    sim, machine, health, scheduler = make(open_s=30.0)
+    f = fn()
+    dpu = machine.pus_of_kind(PuKind.DPU)[0]
+    trip_breaker(health, dpu)
+
+    def wait(sim):
+        yield sim.timeout(31.0)
+
+    sim.spawn(wait(sim))
+    sim.run()
+    assert dpu in scheduler.candidates(f)  # half-open, probe slot free
+    version = health.version
+    health.begin_attempt(dpu)
+    assert health.version == version + 1
+    assert dpu not in scheduler.candidates(f)
+    # A second attempt claims nothing and leaves the cache valid.
+    health.begin_attempt(dpu)
+    assert health.version == version + 1
+
+
+def test_ordinary_attempts_keep_candidate_cache():
+    """Replaying the golden 72-arrival plan refilters candidates only
+    when the health registry changes, not once per request."""
+    plan = ArrivalPlan.from_json(GOLDEN_PLAN.read_text())
+    runtime, frontend = build_runtime(plan, seed=1234, shards=2)
+    health = runtime.health
+    calls = []
+    filter_available = health.filter_available
+
+    def counting(pus):
+        calls.append(pus)
+        return filter_available(pus)
+
+    health.filter_available = counting
+    OpenLoopDriver(runtime, plan, frontend).run()
+    assert len(plan) == 72
+    # No breaker or crash transition happens in this replay, so each
+    # (function, kind) key is filtered exactly once.
+    assert health.version == 0
+    assert len(calls) == len(runtime.scheduler._available_candidates)

@@ -14,6 +14,8 @@ from repro import (
     WorkProfile,
     build_full_machine,
 )
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.hardware import FabricResources, KernelSpec
 from repro.obs.spans import LIFECYCLE_PHASES
 
@@ -209,3 +211,37 @@ def test_failed_invocation_counts_failure_not_latency(molecule):
     requests = molecule.obs.registry.get("repro_requests_total")
     assert requests.total() == 0
     assert molecule.obs.completed_traces() == []
+
+
+def test_retried_request_observes_every_phase_but_samples_the_last(molecule):
+    # The DPU crashes mid cold start and reboots at once: the first
+    # attempt fails, and the retry repeats schedule and sandbox_start.
+    molecule.deploy_now(_python_fn(profiles=(PuKind.DPU, PuKind.CPU)))
+    FaultInjector(molecule, FaultPlan.of(FaultSpec(
+        FaultKind.PU_CRASH, "dpu0", at_s=molecule.sim.now + 0.03,
+        reboot_after_s=0.001,
+    ))).arm()
+    result = molecule.invoke_now("hello", kind=PuKind.DPU)
+    assert result.attempts == 2
+    children = _last_trace(molecule).root.children
+    assert [c.name for c in children] == [
+        "admit", "schedule", "sandbox_start", "retry",
+        "schedule", "sandbox_start", "exec", "respond",
+    ]
+    phase_seconds = molecule.obs.metrics.phase_seconds
+    for name in ("schedule", "sandbox_start"):
+        spans = [c for c in children if c.name == name]
+        series = phase_seconds.child(name, "hello", "dpu", "fork")
+        assert series.count == 2
+        assert series.sum == sum(c.duration_s for c in spans)
+    first_start, last_start = [
+        c.duration_s for c in children if c.name == "sandbox_start"
+    ]
+    assert first_start != last_start
+    samples = molecule.obs.stage_samples
+    # One sample per phase, keyed in first-seen order, last value wins.
+    assert list(samples) == [
+        "admit", "schedule", "sandbox_start", "retry", "exec", "respond",
+    ]
+    assert all(len(values) == 1 for values in samples.values())
+    assert list(samples["sandbox_start"]) == [last_start]

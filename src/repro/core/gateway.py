@@ -71,17 +71,18 @@ class ApiGateway:
         ``deadline_s`` (relative) overrides the gateway default for
         this one request.
         """
-        began = self.sim.now
-        yield self.sim.timeout(self.overhead_ms * config.MS)
+        sim = self.sim
+        began = sim._now
+        yield sim.timeout(self.overhead_ms * config.MS)
         self.requests_admitted += 1
         if self.obs is not None:
             m = self.obs.metrics
             m.gateway_requests.inc()
-            m.gateway_admit_seconds.observe(self.sim.now - began)
+            m.gateway_admit_seconds.observe(sim._now - began)
         request_id = next(self._request_ids)
         budget = deadline_s if deadline_s is not None else self.default_deadline_s
         if budget is not None:
-            self._deadlines[request_id] = self.sim.now + budget
+            self._deadlines[request_id] = sim._now + budget
         for listener in self._admit_listeners:
             listener(self.requests_admitted)
         return request_id

@@ -58,14 +58,15 @@ if TYPE_CHECKING:  # pragma: no cover
 def _deadline_fired(timer) -> None:
     """Deadline-timer callback: wake a still-armed waiter one hop later.
 
-    ``timer.value`` is the request's cell: ``[waiting process]`` while
-    the attempt is in flight, ``[None]`` once it answered.  The wake
-    goes through one zero-delay NORMAL timeout, the position at which
-    an ``any_of`` race over (attempt, timer) would have dispatched, so
-    an attempt finishing at the deadline's own instant still answers.
+    ``timer.value`` is the request's cell, ``[waiting process, fired]``;
+    the process is cleared once the attempt answered.  The wake goes
+    through one zero-delay NORMAL timeout, the position at which an
+    ``any_of`` race over (attempt, timer) would have dispatched, so an
+    attempt finishing at the deadline's own instant still answers.
     """
     cell = timer.value
     if cell[0] is not None:
+        cell[1] = True
         timer.sim.timeout(0.0, cell).callbacks.append(_deadline_wake)
 
 
@@ -309,7 +310,8 @@ class Invoker:
             )
         gateway = gateway if gateway is not None else self.runtime.gateway
         hedger = hedge_policy if hedge_policy is not None else self.hedging
-        start = self.sim.now
+        sim = self.runtime.sim
+        start = sim._now
         trace = (
             self.obs.begin_invocation(function.name)
             if self.obs is not None
@@ -319,7 +321,7 @@ class Invoker:
         try:
             admit_span = trace.begin_phase("admit")
             request_id = yield from gateway.admit(deadline_s=deadline_s)
-            admitted_s = self.sim.now
+            admitted_s = sim._now
             trace.end_phase(admit_span)
             trace.annotate(request_id=request_id)
             if self.engine is not None:
@@ -471,23 +473,25 @@ class Invoker:
         """Generator: drive attempts until success, exhaustion or
         deadline.
 
-        Each attempt runs as its own process; the request waits on it
-        directly while a deadline timer (see :func:`_deadline_fired`)
-        holds only a one-slot cell naming the waiting process, cleared
-        once the attempt answers.  When the deadline fires first the
-        *request* is interrupted and the attempt is *orphaned*: it
-        finishes in the background so every resource it holds (cores,
-        DRAM, pool slots) is released through the normal paths, while
-        its trace proxy is detached so it can no longer touch this
-        request's span tree.
+        Each attempt runs inline: every event it yields is yielded
+        here, and the outcome is sent or thrown back in.  A deadline
+        timer (see :func:`_deadline_fired`) holds only a cell naming
+        this process, cleared once the attempt answers.  When the
+        deadline fires first, its interrupt lands at our own ``yield``
+        and the attempt is *orphaned*: a new process adopts it in our
+        callback slot and finishes it in the background so every
+        resource it holds (cores, DRAM, pool slots) is released through
+        the normal paths, while its trace proxy is detached so it can
+        no longer touch this request's span tree.
         """
+        sim = self.runtime.sim
         gateway = gateway if gateway is not None else self.runtime.gateway
         deadline_at = gateway.deadline_for(request_id)
         errors: list[str] = []
         attempts = 0
         degraded_any = False
         while True:
-            if deadline_at is not None and self.sim.now >= deadline_at:
+            if deadline_at is not None and sim._now >= deadline_at:
                 self._expire(function, request_id, attempts, errors)
             attempts += 1
             dispatch_kind = kind or function.profiles[0]
@@ -507,45 +511,43 @@ class Invoker:
                 function, attempt_kind_arg, attempt_kind,
                 attempt_pu_arg, force_cold,
             ):
-                attempt_gen = self._hedged_attempt(
+                attempt = self._hedged_attempt(
                     function, request_id, attempt_kind_arg, attempt_pu_arg,
                     force_cold, payload_bytes, exec_time_s, start,
                     shield, attempt_info, hedger,
                 )
             else:
-                attempt_gen = self._attempt(
+                attempt = self._attempt(
                     function, request_id, attempt_kind_arg, attempt_pu_arg,
                     force_cold, payload_bytes, exec_time_s, start,
                     shield, attempt_info,
                 )
-            sim = self.sim
-            proc = sim.spawn(
-                attempt_gen,
-                name=f"attempt:{function.name}#{request_id}.{attempts}",
-            )
             cell = None
             if deadline_at is not None:
-                cell = [sim.active_process]
-                sim.timeout(deadline_at - sim.now, cell).callbacks.append(
+                cell = [sim.active_process, False]
+                sim.timeout(deadline_at - sim._now, cell).callbacks.append(
                     _deadline_fired
                 )
+            ok, value = True, None
             try:
-                yield proc
-            except Interrupt:
-                # The deadline fired first.  An attempt that finished ok
-                # at the deadline's own instant still answers; any other
-                # is orphaned, and a late failure of it is defused.
-                if not (proc.triggered and proc.ok):
-                    proc.defuse()
-                    shield.detach()
-                    trace.unwind()
-                    self._expire(function, request_id, attempts, errors)
-            except Exception as exc:  # the attempt failed
-                failure = exc
-            if cell is not None:
-                cell[0] = None
-            if proc.ok:
-                result: InvocationResult = proc.value
+                while True:
+                    event = attempt.send(value) if ok else attempt.throw(value)
+                    try:
+                        value = yield event
+                        ok = True
+                    except Interrupt:
+                        # The deadline fired mid-attempt: orphan it
+                        # (a late failure is defused).
+                        sim.spawn(attempt, waiting_on=event, name=(
+                            f"attempt:{function.name}#{request_id}.{attempts}"
+                        )).defuse()
+                        break
+                    except Exception as exc:  # the event failed
+                        ok, value = False, exc
+            except StopIteration as stop:
+                if cell is not None:
+                    cell[0] = None
+                result: InvocationResult = stop.value
                 result.attempts = attempts
                 result.degraded = degraded_any
                 result.error = errors[-1] if errors else None
@@ -555,6 +557,16 @@ class Invoker:
                 if self.health is not None and used is not None:
                     self.health.record_success(used)
                 return result
+            except Exception as exc:  # the attempt failed
+                failure = exc
+            if cell is not None:
+                cell[0] = None
+                if cell[1]:
+                    # The timer fired before the attempt answered: it
+                    # was orphaned, or failed behind the deadline's wake.
+                    shield.detach()
+                    trace.unwind()
+                    self._expire(function, request_id, attempts, errors)
             # -- transient or terminal failure --------------------------------------
             trace.unwind()
             errors.append(f"{type(failure).__name__}: {failure}")
@@ -580,11 +592,11 @@ class Invoker:
                 ).inc()
             backoff = self.retry_policy.backoff_s(attempts, self._retry_rng)
             if deadline_at is not None:
-                backoff = min(backoff, max(0.0, deadline_at - self.sim.now))
+                backoff = min(backoff, max(0.0, deadline_at - sim._now))
             retry_span = trace.begin_phase(
                 "retry", attempt=attempts, error=type(failure).__name__
             )
-            yield self.sim.timeout(backoff)
+            yield sim.timeout(backoff)
             trace.end_phase(retry_span)
 
     def _attempt(
@@ -749,12 +761,13 @@ class Invoker:
         follower; otherwise it goes back to its PU's pool."""
         engine = self.engine
         if engine is None or not engine.offer_released(instance):
+            sim = self.runtime.sim
             evicted = self.pools[instance.pu.pu_id].release(
-                instance, now=self.sim.now
+                instance, now=sim._now
             )
             self.notify_idle()
             for old in evicted:
-                self.sim.spawn(self._destroy(old))
+                sim.spawn(self._destroy(old))
 
     #: Error classes that must never be retried: terminal reliability
     #: outcomes and misconfigurations a retry cannot fix.
@@ -905,8 +918,9 @@ class Invoker:
         payload_bytes, exec_time_s, start, trace=NULL_TRACE,
         attempt_info: Optional[dict] = None, hedge=None,
     ):
+        sim = self.runtime.sim
         exclude = self._hedge_exclude(hedge)
-        startup_begin = self.sim.now
+        startup_begin = sim._now
         schedule_span = trace.begin_phase("schedule")
         instance = (
             None if force_cold else self._find_warm(function, kind, pu, exclude)
@@ -932,7 +946,7 @@ class Invoker:
                     # the batch's PU so a later trigger can hedge away
                     # from it.
                     hedge[0].pu_hint = self.runtime.machine.pus[batch.key[1]]
-                waiter = batch.join(self.sim)
+                waiter = batch.join(sim)
                 engine.on_follower_joined(batch)
                 yield waiter
                 if self._hedge_lost(hedge):
@@ -978,7 +992,7 @@ class Invoker:
                 # The PU crashed mid-cold-start: the instance is gone.
                 if batch is not None:
                     engine.abort_batch(batch)
-                self.sim.spawn(self._destroy(instance))
+                sim.spawn(self._destroy(instance))
                 raise FaultInjectedError(
                     f"{target.name} crashed during cold start of "
                     f"{function.name!r}"
@@ -995,7 +1009,7 @@ class Invoker:
                 engine.on_coalesced_start(function.name)
             else:
                 self.warm_invocations += 1
-        startup_s = self.sim.now - startup_begin
+        startup_s = sim._now - startup_begin
         if self._hedge_lost(hedge):
             # Cancelled after startup but before executing: the loser's
             # instance goes straight back (warm, unused) — a cold-started
@@ -1015,13 +1029,13 @@ class Invoker:
         )
         exec_span = trace.begin_phase("exec", pu=instance.pu.name)
 
-        exec_begin = self.sim.now
+        exec_begin = sim._now
         if cold and function.code.data_ms:
             # Cold-path data preparation no startup optimisation removes.
-            yield self.sim.timeout(function.code.data_ms * config.MS)
+            yield sim.timeout(function.code.data_ms * config.MS)
         if instance.forked and instance.is_first_request:
             runc = self.runtime.runc_on(instance.pu.pu_id)
-            yield self.sim.timeout(runc.first_request_penalty())
+            yield sim.timeout(runc.first_request_penalty())
         duration = (
             exec_time_s
             if exec_time_s is not None
@@ -1032,11 +1046,11 @@ class Invoker:
         core = instance.pu.cores.request()
         yield core
         instance.pu.clock.mark_busy()
-        yield self.sim.timeout(duration)
+        yield sim.timeout(duration)
         instance.pu.clock.mark_idle()
         instance.pu.cores.release(core)
         instance.requests_served += 1
-        exec_s = self.sim.now - exec_begin
+        exec_s = sim._now - exec_begin
         trace.end_phase(exec_span)
 
         if self._crashed_during(instance.pu, attempt_info) or not self._is_alive(
@@ -1044,7 +1058,7 @@ class Invoker:
         ):
             # The PU crashed (or the sandbox was killed) while this
             # request ran on it: the response is lost with the PU.
-            self.sim.spawn(self._destroy(instance))
+            sim.spawn(self._destroy(instance))
             raise FaultInjectedError(
                 f"{instance.pu.name} failed while executing "
                 f"{function.name!r}"
@@ -1300,7 +1314,7 @@ class Invoker:
     def _result(
         self, function, request_id, pu, cold, startup_s, exec_s, comm_s, start
     ) -> InvocationResult:
-        total_s = self.sim.now - start
+        total_s = self.runtime.sim._now - start
         entry = self.runtime.ledger.charge(request_id, function.name, pu, exec_s)
         cost = entry.cost
         return InvocationResult(

@@ -37,7 +37,8 @@ batches**:
 * process resumption for already-processed targets, bootstrap and
   interrupts enqueues a pooled :class:`_Resume` record directly instead
   of allocating an intermediate wakeup :class:`Event`;
-* :meth:`Process.interrupt` tombstones its callback slot in O(1);
+* :meth:`Process.interrupt` tombstones its callback slot in O(1); a
+  process adopting the interrupted one's inline generator takes it over;
 * a finished :class:`Process` drops its generator and its cached
   resume callback, so it holds no reference cycle and is freed by
   reference counting rather than by the cyclic collector.
@@ -261,6 +262,25 @@ class Process(Event):
         self._resume_cb = self._resume
         # Bootstrap: resume the generator at the current time.
         sim._enqueue_resume(self, True, None)
+
+    @classmethod
+    def _adopt(cls, sim: "Simulator", generator: Generator, name: str,
+               target: Event) -> "Process":
+        """A process for ``generator``, which the interrupted active
+        process was driving inline: it takes over the waiter slot on
+        ``target`` that :meth:`interrupt` tombstoned, no bootstrap."""
+        slot = sim.active_process._target_slot
+        callbacks = target.callbacks
+        if not 0 <= slot < len(callbacks) or callbacks[slot] is not None:
+            raise SimulationError(f"no interrupted slot on {target!r}")
+        self = cls.__new__(cls)
+        Event.__init__(self, sim)
+        self.generator = generator
+        self.name = name or generator.__name__
+        self._resume_cb = callbacks[slot] = self._resume
+        self._target = target
+        self._target_slot = slot
+        return self
 
     @property
     def is_alive(self) -> bool:
@@ -567,9 +587,13 @@ class Simulator:
             heapq.heappush(self._queue, (self._now + delay, NORMAL, self._seq, timeout))
         return timeout
 
-    def spawn(self, generator: Generator, name: str = "") -> Process:
-        """Start a new process running ``generator``."""
-        return Process(self, generator, name=name)
+    def spawn(self, generator: Generator, name: str = "",
+              waiting_on: Optional[Event] = None) -> Process:
+        """Start a new process running ``generator``, or adopt one the
+        interrupted active process left suspended on ``waiting_on``."""
+        if waiting_on is None:
+            return Process(self, generator, name=name)
+        return Process._adopt(self, generator, name, waiting_on)
 
     # Alias matching SimPy's vocabulary.
     process = spawn

@@ -61,9 +61,10 @@ def test_golden_run_uses_both_shards_and_both_pu_kinds():
 
 
 def test_replay_event_count_is_pinned():
-    """Kernel events per replay: a request waits on its attempt
-    directly, so the deadline race adds no composite event.  A change
-    here means the request path gained or lost events per request."""
+    """Kernel events per replay: a request runs its attempt inline (no
+    attempt process to bootstrap and complete) and the deadline race
+    adds no composite event.  A change here means the request path
+    gained or lost events per request."""
     plan = _load_plan()
     runtime, frontend = build_runtime(
         plan, seed=GOLDEN_SEED, shards=GOLDEN_SHARDS
@@ -71,5 +72,8 @@ def test_replay_event_count_is_pinned():
     before = runtime.sim.kernel_profile()
     OpenLoopDriver(runtime, plan, frontend).run()
     after = runtime.sim.kernel_profile()
-    assert after["events_processed"] - before["events_processed"] == 698
-    assert after["dispatched_by_kind"]["other"] == 221
+    assert after["events_processed"] - before["events_processed"] == 554
+    assert (
+        after["dispatched_by_kind"]["other"]
+        - before["dispatched_by_kind"]["other"]
+    ) == 145

@@ -67,9 +67,9 @@ def test_orphaned_hedged_primary_leaves_the_request_trace_alone():
     spawned = []
     spawn = molecule.sim.spawn
 
-    def recording_spawn(generator, name=""):
+    def recording_spawn(generator, name="", **kwargs):
         spawned.append(name)
-        return spawn(generator, name=name)
+        return spawn(generator, name=name, **kwargs)
 
     molecule.sim.spawn = recording_spawn
     seen = []

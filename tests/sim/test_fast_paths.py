@@ -1,7 +1,7 @@
 """Regression tests for the kernel fast paths.
 
 These pin the behavioural contracts behind the dispatch optimisations:
-tombstoned interrupt slots, direct resumption of already-processed
+tombstoned interrupt slots and their hand-off, direct resumption of already-processed
 targets, condition defusal over pre-processed children, and the
 Timeout/_Resume free-lists.
 """
@@ -102,6 +102,46 @@ def test_interrupt_slot_tombstone_is_o1_and_exact():
     sim.spawn(driver(sim))
     sim.run()
     assert sorted(woke) == [(0, "go"), (1, "interrupted"), (2, "go")]
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_adopted_generator_takes_over_the_interrupted_slot(batched):
+    """A process driving a sub-generator inline hands it, suspended, to
+    a new process when interrupted: the adopter resumes in the
+    interrupted waiter's place among the event's waiters."""
+    sim = Simulator(batched=batched)
+    gate = sim.event()
+    woke = []
+
+    def job(tag):
+        value = yield gate
+        woke.append((tag, value, sim.now))
+
+    def inline(sim):
+        sub = job("adopted")
+        event = sub.send(None)
+        try:
+            yield event
+        except Interrupt:
+            adopter = sim.spawn(sub, name="adopter", waiting_on=event)
+            woke.append(("interrupted", adopter.name, sim.now))
+
+    p = sim.spawn(inline(sim))
+    sim.spawn(job("later"))
+
+    def driver(sim):
+        yield sim.timeout(1.0)
+        p.interrupt()
+        yield sim.timeout(1.0)
+        gate.succeed("go")
+
+    sim.spawn(driver(sim))
+    sim.run()
+    assert woke == [
+        ("interrupted", "adopter", 1.0),
+        ("adopted", "go", 2.0),
+        ("later", "go", 2.0),
+    ]
 
 
 # -- conditions over already-processed children -------------------------------------

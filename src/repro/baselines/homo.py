@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from repro import config
 from repro.core.dag import Chain, ChainResult
-from repro.core.invoker import InvocationResult
+from repro.core.records import FunctionInstance, InvocationResult
 from repro.core.keepalive import WarmPool
 from repro.core.registry import FunctionDef, FunctionRegistry
 from repro.errors import SchedulingError
@@ -74,8 +74,6 @@ class MoleculeHomo:
             sandbox_id = f"{name}-{next(self._ids)}"
             yield from self.runc.create(sandbox_id, function.code)
             sandbox = yield from self.runc.start(sandbox_id)
-            from repro.core.invoker import FunctionInstance
-
             instance = FunctionInstance(
                 function=function, pu=self.pu, sandbox=sandbox, forked=False
             )
@@ -99,7 +97,6 @@ class MoleculeHomo:
             cold=cold,
             startup_s=startup_s,
             exec_s=exec_s,
-            comm_s=0.0,
             total_s=self.sim.now - start,
             billed_cost=self.pu.spec.price_class.cost(exec_s),
         )

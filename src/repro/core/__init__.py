@@ -19,7 +19,8 @@ from repro.core.policies import (
     UserOrderPolicy,
 )
 from repro.core.gateway import ApiGateway
-from repro.core.invoker import FunctionInstance, InvocationResult, Invoker
+from repro.core.invoker import Invoker
+from repro.core.records import FunctionInstance, InvocationResult
 from repro.core.keepalive import FpgaImagePlanner, ImagePlan, WarmPool
 from repro.core.molecule import MoleculeRuntime
 from repro.core.registry import FunctionDef, FunctionRegistry, WorkProfile

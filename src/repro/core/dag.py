@@ -21,7 +21,7 @@ from repro.xpu.capability import Permission
 from repro.xpu.fifo import FifoEnd
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.invoker import FunctionInstance
+    from repro.core.records import FunctionInstance
     from repro.core.molecule import MoleculeRuntime
     from repro.sandbox.runf import RunfRuntime
 

@@ -2,7 +2,7 @@
 
 §4.1: "Users can also construct a function chain (or DAG)".  The Alexa
 skill is really a tree (smarthome fans out to door and light); this
-module models arbitrary DAGs over :mod:`networkx`, schedules them with
+module models arbitrary DAGs as adjacency dicts, schedules them with
 chain-style co-location, and executes them with the same direct-connect
 FIFO discipline: a node fires once every predecessor's message has
 arrived, then writes every successor's FIFO.
@@ -11,10 +11,8 @@ arrived, then writes every successor's FIFO.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-import networkx as nx
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro import config
 from repro.errors import SchedulingError, WorkloadError
@@ -33,44 +31,75 @@ class DagEdge:
 
 
 class FunctionDag:
-    """A DAG of deployed functions."""
+    """A DAG of deployed functions, as plain adjacency dicts."""
 
     def __init__(self, name: str, edges: Sequence[DagEdge]):
         if not edges:
             raise WorkloadError(f"DAG {name!r} needs at least one edge")
         self.name = name
-        self.graph = nx.DiGraph()
+        #: node -> {successor: payload bytes}, and node -> predecessors,
+        #: both in insertion order (a repeated edge keeps its first
+        #: position and its last payload).
+        self._succ: dict[str, dict[str, int]] = {}
+        self._pred: dict[str, dict[str, None]] = {}
         for edge in edges:
-            self.graph.add_edge(edge.src, edge.dst, payload=edge.payload_bytes)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            raise WorkloadError(f"DAG {name!r} contains a cycle")
-        roots = [n for n in self.graph.nodes if self.graph.in_degree(n) == 0]
+            for node in (edge.src, edge.dst):
+                self._succ.setdefault(node, {})
+                self._pred.setdefault(node, {})
+            self._succ[edge.src][edge.dst] = edge.payload_bytes
+            self._pred[edge.dst][edge.src] = None
+        self._order = self._topological_order()
+        roots = [n for n, preds in self._pred.items() if not preds]
         if len(roots) != 1:
             raise WorkloadError(
                 f"DAG {name!r} must have exactly one entry function, got {roots}"
             )
         self.entry = roots[0]
-        self.sinks = [n for n in self.graph.nodes if self.graph.out_degree(n) == 0]
+        self.sinks = [n for n, succs in self._succ.items() if not succs]
+
+    def _topological_order(self) -> list[str]:
+        """Kahn's sort, one generation at a time: each generation lists
+        its nodes in the order they became ready."""
+        indegree = {n: len(preds) for n, preds in self._pred.items()}
+        generation = [n for n, degree in indegree.items() if not degree]
+        order: list[str] = []
+        while generation:
+            order += generation
+            ready = []
+            for node in generation:
+                for child in self._succ[node]:
+                    indegree[child] -= 1
+                    if not indegree[child]:
+                        ready.append(child)
+            generation = ready
+        if len(order) != len(indegree):
+            raise WorkloadError(f"DAG {self.name!r} contains a cycle")
+        return order
 
     @property
     def nodes(self) -> list[str]:
         """Function names in a topological order."""
-        return list(nx.topological_sort(self.graph))
+        return list(self._order)
 
     @property
     def edges(self) -> list[DagEdge]:
         """All edges with payloads."""
         return [
-            DagEdge(src, dst, data["payload"])
-            for src, dst, data in self.graph.edges(data=True)
+            DagEdge(src, dst, payload)
+            for src, succs in self._succ.items()
+            for dst, payload in succs.items()
         ]
+
+    def predecessors(self, node: str) -> list[str]:
+        """The nodes with an edge into ``node``."""
+        return list(self._pred[node])
 
     def critical_path(self, exec_time_of) -> list[str]:
         """The execution-weighted longest path from entry to a sink."""
         longest: dict[str, tuple[float, list[str]]] = {}
         for node in self.nodes:
             best = (0.0, [])
-            for pred in self.graph.predecessors(node):
+            for pred in self._pred[node]:
                 cost, path = longest[pred]
                 if cost > best[0]:
                     best = (cost, path)
@@ -205,11 +234,11 @@ class DagGraphEngine:
         def node_proc(node):
             pu = placements[node]
             shim = cluster.shim_on(pu.pu_id)
-            in_degree = max(1, dag.graph.in_degree(node))
+            in_degree = max(1, len(dag.predecessors(node)))
             for _ in range(in_degree):
                 yield from shim.xfifo_read(groups[node], self_handles[node])
             yield self.sim.timeout(self._msg_time(instances[node], pu))
-            for pred in dag.graph.predecessors(node):
+            for pred in dag.predecessors(node):
                 edge_latency[(pred, node)] = self.sim.now - t_sent[(pred, node)]
             duration = instances[node].function.work.exec_time(pu)
             pu.clock.mark_busy()

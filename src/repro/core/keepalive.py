@@ -17,7 +17,7 @@ from repro.errors import SchedulingError
 from repro.obs.metrics import MetricSpec
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.invoker import FunctionInstance
+    from repro.core.records import FunctionInstance
 
 
 class WarmPool:

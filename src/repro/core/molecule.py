@@ -17,6 +17,7 @@ Typical use::
 
 from __future__ import annotations
 
+import importlib
 from typing import Optional
 
 from repro import config
@@ -86,6 +87,25 @@ KERNEL_METRICS = {
         ("kind",),
     ),
 }
+
+
+#: The opt-in engines, in wiring order: runtime attribute (and
+#: constructor argument), package, config class, engine class.  The
+#: overload controller comes after hedging so its brownout can reach
+#: the hedge policy's clone token bucket; the result cache comes last
+#: so its staleness policy can consult the overload controller.
+ENGINES = (
+    # Cold-start coalescing, predictive pre-warm, bitstream prefetch.
+    ("warmpath", "repro.warmpath", "WarmPathConfig", "WarmPathEngine"),
+    # Clones stragglers onto a second healthy PU; first answer wins.
+    ("hedging", "repro.hedging", "HedgeConfig", "HedgePolicy"),
+    # Per-shard adaptive limits, deadline-aware shedding, brownout.
+    ("overload", "repro.overload", "OverloadConfig", "OverloadController"),
+    # map/map_reduce over partitioned data with straggler-aware gather.
+    ("fanout", "repro.futures", "FanoutConfig", "FanoutEngine"),
+    # Deterministic result cache: single-flight, stale-under-pressure.
+    ("reuse", "repro.reuse", "ReuseConfig", "ReuseEngine"),
+)
 
 
 class MoleculeRuntime:
@@ -191,64 +211,19 @@ class MoleculeRuntime:
             from repro.faults.injector import FaultInjector
 
             self.injector = FaultInjector(self, fault_plan)
-        #: Optional warm-path engine (repro.warmpath): cold-start
-        #: coalescing, predictive pre-warm, bitstream prefetch.  Pass a
-        #: WarmPathConfig (or True for defaults); None leaves the stock
-        #: byte-identical behavior.
-        self.warmpath = None
-        if warmpath is not None:
-            from repro.warmpath import WarmPathConfig, WarmPathEngine
-
-            config_obj = (
-                WarmPathConfig() if warmpath is True else warmpath
-            )
-            self.warmpath = WarmPathEngine(self, config_obj)
-        #: Optional tail-latency hedging engine (repro.hedging): clones
-        #: straggling requests onto a second healthy PU and takes the
-        #: first answer.  Pass a HedgeConfig (or True for defaults);
-        #: None leaves the stock byte-identical behavior.
-        self.hedging = None
-        if hedging is not None:
-            from repro.hedging import HedgeConfig, HedgePolicy
-
-            hedge_config = HedgeConfig() if hedging is True else hedging
-            self.hedging = HedgePolicy(self, hedge_config)
-        #: Optional overload controller (repro.overload): per-shard
-        #: adaptive concurrency limits, deadline-aware load shedding and
-        #: brownout degradation.  Pass an OverloadConfig (or True for
-        #: defaults); None leaves the stock byte-identical behavior.
-        #: Constructed after hedging so the brownout can reach the
-        #: hedge policy's clone token bucket.
-        self.overload = None
-        if overload is not None:
-            from repro.overload import OverloadConfig, OverloadController
-
-            overload_config = (
-                OverloadConfig() if overload is True else overload
-            )
-            self.overload = OverloadController(self, overload_config)
-        #: Optional fan-out engine (repro.futures): lithops-style
-        #: map/map_reduce over partitioned data with straggler-aware
-        #: gather.  Pass a FanoutConfig (or True for defaults); None
-        #: leaves the stock byte-identical behavior.
-        self.fanout = None
-        if fanout is not None:
-            from repro.futures import FanoutConfig, FanoutEngine
-
-            fanout_config = FanoutConfig() if fanout is True else fanout
-            self.fanout = FanoutEngine(self, fanout_config)
-        #: Optional computation-reuse engine (repro.reuse): a
-        #: deterministic result cache in front of the admission gate
-        #: with single-flight de-dup and stale-under-pressure serving.
-        #: Pass a ReuseConfig (or True for defaults); None leaves the
-        #: stock byte-identical behavior.  Constructed last so its
-        #: staleness policy can consult the overload controller.
-        self.reuse = None
-        if reuse is not None:
-            from repro.reuse import ReuseConfig, ReuseEngine
-
-            reuse_config = ReuseConfig() if reuse is True else reuse
-            self.reuse = ReuseEngine(self, reuse_config)
+        # Each opt-in engine takes its config (or True for defaults);
+        # one left None keeps the stock byte-identical behavior.
+        configs = dict(warmpath=warmpath, hedging=hedging,
+                       overload=overload, fanout=fanout, reuse=reuse)
+        for attr, module, config_class, engine_class in ENGINES:
+            engine = None
+            config_obj = configs[attr]
+            if config_obj is not None:
+                package = importlib.import_module(module)
+                if config_obj is True:
+                    config_obj = getattr(package, config_class)()
+                engine = getattr(package, engine_class)(self, config_obj)
+            setattr(self, attr, engine)
 
     # -- construction helpers -------------------------------------------------------
 

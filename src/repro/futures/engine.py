@@ -40,7 +40,6 @@ from repro.errors import (
     FanoutPartialFailure,
     ReproError,
     RequestShed,
-    SchedulingError,
     WorkloadError,
 )
 from repro.futures.future import (
@@ -142,24 +141,13 @@ class SpeculationPolicy(HedgePolicy):
         self.anti_affinity_violations = 0
         self._affinity_checked: set[int] = set()
 
-    def eligible(self, function, kind, resolved_kind, pu, force_cold) -> bool:
-        """Like the hedger's gate but without the warm-up check: the
-        trigger is externally fired, so a cold tracker must not stop a
-        task from arming its (dormant) clone trigger."""
-        if pu is not None or force_cold:
-            return False
-        if not resolved_kind.general_purpose:
-            return False
-        try:
-            candidates = self.runtime.scheduler.candidates(function, kind)
-        except SchedulingError:
-            return False
-        return len(candidates) >= 2
+    def can_trigger(self, function) -> bool:
+        """Always: the trigger is externally fired, so a cold tracker
+        must not stop a task from arming its (dormant) clone trigger."""
+        return True
 
     def begin(self, function, request_id: int):
         state = super().begin(function, request_id)
-        if state.trigger_s is None:
-            state.trigger_s = 0.0
         state.trigger_event = self.runtime.sim.event()
         return state
 
@@ -178,8 +166,8 @@ class SpeculationPolicy(HedgePolicy):
         super().on_won(state, tag, result)
         self._check_affinity(state)
 
-    def on_cancelled(self, state, tag, attempt_info, wasted_s) -> None:
-        super().on_cancelled(state, tag, attempt_info, wasted_s)
+    def on_cancelled(self, state, tag, placed, wasted_s) -> None:
+        super().on_cancelled(state, tag, placed, wasted_s)
         self._check_affinity(state)
 
     def snapshot(self) -> dict:

@@ -21,11 +21,15 @@ The policy layer here owns the *decisions* and the *accounting*:
 * :class:`_HedgeState` — the shared first-wins join state of one
   hedged attempt (claim, loser detection, completion notification).
 
-The race mechanics — copy spawning, cancellation checkpoints, loser
-teardown — live in the invoker.  Like the warm-path engine, hedging is
-fully optional: ``MoleculeRuntime(hedging=None)`` leaves every code
-path and every metric family byte-identical to a runtime that never
-heard of it.
+* :func:`hedge_stage` — the race itself, the request pipeline's
+  hedge stage: the retry loop runs it in place of a plain attempt and
+  it spawns the racing copies; each copy runs the invoker's
+  general-purpose path, whose cancellation checkpoints ask the join
+  state whether the copy already lost.
+
+Like the warm-path engine, hedging is fully optional:
+``MoleculeRuntime(hedging=None)`` leaves every code path and every
+metric family byte-identical to a runtime that never heard of it.
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.errors import SchedulingError
+from repro.errors import HedgeCancelled, ReproError, SchedulingError
 from repro.hedging.tracker import LatencyTracker
 from repro.obs.metrics import MetricSpec
+from repro.obs.spans import DetachableTrace, NULL_TRACE, START_HEDGED
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.molecule import MoleculeRuntime
@@ -86,8 +91,8 @@ class HedgeConfig:
 class _HedgeState:
     """First-wins join state shared by the copies of one hedged attempt.
 
-    The invoker's copy wrappers run in separate simulated processes;
-    this object is how they agree on a winner.  ``claim`` is called
+    The racing copies run in separate simulated processes; this object
+    is how they agree on a winner.  ``claim`` is called
     synchronously at a copy's final checkpoint (no yields between the
     check and the claim), so exactly one copy ever wins.
     """
@@ -117,7 +122,8 @@ class _HedgeState:
         #: Best-known PU of a primary that has no placement yet (a
         #: parked coalesced follower inherits its batch's PU).
         self.pu_hint = None
-        #: (tag, result, attempt_info) of the first completed copy.
+        #: (tag, result, (placed PU, crash epoch)) of the first
+        #: completed copy.
         self.winner = None
         #: Errors of copies that failed outright (oldest first).
         self.failures: list = []
@@ -144,16 +150,22 @@ class _HedgeState:
         if self._waiter is not None and not self._waiter.triggered:
             self._waiter.succeed()
 
-    def claim(self, tag: str, result, attempt_info) -> bool:
+    def claim(self, tag: str, result, placement) -> bool:
         """Atomically claim the win for ``tag``; False if already won."""
         if self.winner is None:
-            self.winner = (tag, result, attempt_info)
+            self.winner = (tag, result, placement)
             return True
         return False
 
     def lost(self, tag: str) -> bool:
-        """True once the *other* copy has won (this one must cancel)."""
+        """True once the *other* copy has won (this one must cancel):
+        the probe behind every cancellation checkpoint."""
         return self.winner is not None and self.winner[0] != tag
+
+    def avoid(self, tag: str):
+        """The PU the ``tag`` copy must not land on (clone
+        anti-affinity), or None."""
+        return self.exclude if tag == "clone" else None
 
 
 #: Families the hedging engine owns, registered when a policy is built.
@@ -262,6 +274,11 @@ class HedgePolicy:
             return None
         return max(config.min_trigger_s, delay)
 
+    def can_trigger(self, function) -> bool:
+        """Whether a clone trigger can arm for ``function`` yet (its
+        percentile is trusted, or a fallback delay applies)."""
+        return self.trigger_delay(function) is not None
+
     def eligible(self, function, kind, resolved_kind, pu, force_cold) -> bool:
         """Whether this attempt should run hedged.
 
@@ -275,7 +292,7 @@ class HedgePolicy:
             return False
         if not resolved_kind.general_purpose:
             return False
-        if self.trigger_delay(function) is None:
+        if not self.can_trigger(function):
             return False
         try:
             candidates = self.runtime.scheduler.candidates(function, kind)
@@ -349,17 +366,17 @@ class HedgePolicy:
             if state.event is not None:
                 self._pu_stat(state.event["primary_pu"])["lost"] += 1
 
-    def on_cancelled(self, state: _HedgeState, tag: str, attempt_info,
+    def on_cancelled(self, state: _HedgeState, tag: str, placed,
                      wasted_s: float) -> None:
-        """A losing copy was torn down (or died after the win)."""
+        """A losing copy was torn down (or died after the win);
+        ``placed`` is the PU it had landed on, if any."""
         if tag == "clone":
             self.cancelled += 1
             if self.metrics is not None:
                 self.metrics.cancelled.child(state.function.name).inc()
-            if state.event is not None and state.event["clone_pu"] is None:
-                used = attempt_info.get("pu")
-                if used is not None:
-                    state.event["clone_pu"] = used.name
+            if (state.event is not None and state.event["clone_pu"] is None
+                    and placed is not None):
+                state.event["clone_pu"] = placed.name
         if wasted_s > 0.0:
             self.wasted_s += wasted_s
             if self.metrics is not None:
@@ -375,7 +392,7 @@ class HedgePolicy:
         one before responding, so this staying zero is itself a tested
         invariant)."""
         self.losers_completed += 1
-        self.on_cancelled(state, tag, {}, result.exec_s)
+        self.on_cancelled(state, tag, None, result.exec_s)
 
     def charge_waste(self, request_id: int, function, pu, exec_s: float):
         """Bill the execution a cancelled loser already burned."""
@@ -440,3 +457,115 @@ class HedgePolicy:
             snap["throttled"] = self.throttled
             snap["budget"] = self.budget.snapshot()
         return snap
+
+
+# -- the hedge stage ---------------------------------------------------------------
+
+
+def hedge_stage(invoker, hedger, attempt):
+    """Generator: one attempt, hedged.
+
+    Runs the primary copy normally, arms the percentile trigger, and —
+    if the primary is still in flight when it fires — launches a clone
+    onto a healthy PU distinct from the primary's.  The first copy to
+    complete answers; the loser tears itself down at its next
+    cancellation checkpoint in the invoker's general-purpose path.
+    ``hedger`` is the request's policy (the runtime-wide hedger, or a
+    per-request one such as repro.futures' straggler speculation).
+    """
+    sim = invoker.sim
+    function, request_id = attempt.function, attempt.request_id
+    state = hedger.begin(function, request_id)
+    state.pending = 1
+    shield = attempt.trace
+    # The primary writes its spans through its own severable proxy: if
+    # the clone wins, the primary is detached exactly like a
+    # deadline-orphaned attempt, and keeps running only to release its
+    # resources through the normal paths.
+    primary = attempt.copy(
+        attempt.kind, attempt.pu, DetachableTrace(shield), state, "primary"
+    )
+    sim.spawn(
+        _race_copy(invoker, hedger, primary),
+        name=f"hedge-primary:{function.name}#{request_id}",
+    )
+    # Phase 1: primary vs the clone trigger — the percentile timer, or
+    # an externally fired event (repro.futures straggler gather).
+    waiter = state.arm(sim)
+    trigger = (
+        state.trigger_event
+        if state.trigger_event is not None
+        else sim.timeout(state.trigger_s)
+    )
+    yield sim.any_of([waiter, trigger])
+    state.disarm()
+    if state.winner is None and not state.failures:
+        # Trigger fired with the primary still in flight: clone it.
+        primary_pu = primary.placed or state.pu_hint
+        if hedger.fire(state, function, attempt.kind, primary_pu):
+            clone = attempt.copy(attempt.kind, None, NULL_TRACE, state, "clone")
+            sim.spawn(
+                _race_copy(invoker, hedger, clone),
+                name=f"hedge-clone:{function.name}#{request_id}",
+            )
+    # Phase 2: first completed copy wins; all copies failing loses.
+    while state.winner is None:
+        if state.pending == 0:
+            raise state.failures[-1]
+        waiter = state.arm(sim)
+        yield waiter
+        state.disarm()
+    tag, result, placement = state.winner
+    attempt.placed, attempt.epoch = placement
+    if tag == "clone":
+        # The primary lost: sever its span proxy, close its dangling
+        # phase spans, and restamp the root with the clone's identity.
+        primary.trace.detach()
+        shield.unwind()
+        shield.annotate(
+            pu=result.pu_name,
+            pu_kind=result.pu_kind.value,
+            start_kind=START_HEDGED,
+        )
+    if state.fired:
+        result.hedged = True
+        result.hedge_winner = tag
+        shield.annotate(hedged=True)
+    return result
+
+
+def _race_copy(invoker, hedger, attempt):
+    """Generator: one copy (primary or clone) of a hedged attempt.
+
+    Runs the invoker's general-purpose path so the copy's process never
+    fails unwaited: errors and cancellations are absorbed into the
+    shared :class:`_HedgeState` and surfaced to the join loop via
+    ``notify``.
+    """
+    state, tag = attempt.hedge, attempt.tag
+    try:
+        result = yield from invoker._attempt_general(attempt)
+    except HedgeCancelled as exc:
+        hedger.on_cancelled(state, tag, attempt.placed, exc.wasted_s)
+    except ReproError as exc:
+        if state.winner is not None:
+            # The loser died on its own (e.g. its PU crashed after the
+            # winner answered): nothing further to account.
+            hedger.on_cancelled(state, tag, attempt.placed, 0.0)
+        else:
+            state.failures.append(exc)
+            if invoker.health is not None and attempt.placed is not None:
+                invoker.health.record_failure(attempt.placed)
+    else:
+        # The winner keeps the copy's placement, not the copy itself:
+        # the copy points back at this state, and the cycle would leave
+        # every race to the cyclic collector.
+        if state.claim(tag, result, (attempt.placed, attempt.epoch)):
+            hedger.on_won(state, tag, result)
+        else:
+            # Ran to completion without hitting a checkpoint after the
+            # winner claimed (defensive: the general-purpose path
+            # always checkpoints before responding).
+            hedger.on_loser_completed(state, tag, result)
+    state.pending -= 1
+    state.notify()

@@ -311,11 +311,6 @@ def build_runtime(
     sim = Simulator(batched=batched)
     machine = build_cpu_dpu_machine(sim, num_dpus=num_dpus)
     obs = Observability(sim)
-    warmpath = None
-    if prewarm:
-        from repro.warmpath import WarmPathConfig
-
-        warmpath = WarmPathConfig()
     hedging = None
     if hedge or hedge_budget is not None:
         from repro.hedging import HedgeConfig
@@ -325,14 +320,6 @@ def build_runtime(
             hedging = replace(hedging, percentile=hedge_percentile)
         if hedge_budget is not None:
             hedging = replace(hedging, budget_ratio=hedge_budget)
-    overload_cfg = None
-    if overload:
-        from repro.overload import OverloadConfig
-
-        overload_cfg = (
-            overload if isinstance(overload, OverloadConfig)
-            else OverloadConfig()
-        )
     reuse_cfg = None
     if reuse:
         from repro.reuse import ReuseConfig
@@ -348,9 +335,9 @@ def build_runtime(
         default_deadline_s=default_deadline_s,
         keep_alive_ttl_s=keep_alive_ttl_s,
         keepalive_policy=keepalive_policy,
-        warmpath=warmpath,
+        warmpath=True if prewarm else None,
         hedging=hedging,
-        overload=overload_cfg,
+        overload=overload or None,
         fanout=fanout,
         reuse=reuse_cfg,
     )

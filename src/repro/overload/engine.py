@@ -447,24 +447,33 @@ class OverloadController:
 
     # -- admission -------------------------------------------------------------------
 
-    def acquire(self, gateway, function, request_id: int, trace,
-                bypass: bool = False):
-        """Generator: take a concurrency slot on the gateway's gate
-        (may park in its bounded queue; raises :class:`RequestShed`
-        when the request cannot be served within its deadline budget).
-        Returns an opaque slot token for :meth:`release`."""
-        gate = self.gate_for(gateway)
-        deadline_at = gateway.deadline_for(request_id)
-        yield from gate.acquire(function, request_id, deadline_at, trace,
-                                bypass)
-        return (gate, self.sim.now)
+    def gate_stage(self, inner, gateway, request, bypass: bool):
+        """Generator: the request pipeline's gate stage, around the
+        retry stage (``inner``).
 
-    def release(self, slot, ok: bool) -> None:
-        """Return a slot taken by :meth:`acquire`; ``ok`` feeds the
-        AIMD limiter (service latency is grant-to-completion, so queue
-        wait never counts against the limit)."""
-        gate, granted_s = slot
-        gate.release(self.sim.now - granted_s, ok)
+        Takes a concurrency slot on the gateway's gate after gateway
+        admission (so sheds still count against ``admitted``) and
+        before the retry loop (so a shed is never retried or
+        dead-lettered): the request may park in the gate's bounded
+        queue, or be refused with :class:`RequestShed`.  ``bypass``
+        exempts half-open breaker probes.  The slot is returned when
+        ``inner`` finishes, its outcome feeding the AIMD limiter
+        (service latency is grant-to-completion, so queue wait never
+        counts against the limit).
+        """
+        gate = self.gate_for(gateway)
+        yield from gate.acquire(
+            request.function, request.request_id,
+            gateway.deadline_for(request.request_id), request.trace, bypass,
+        )
+        granted_s = self.sim.now
+        ok = False
+        try:
+            result = yield from inner
+            ok = True
+        finally:
+            gate.release(self.sim.now - granted_s, ok)
+        return result
 
     def shed_request(self, gate: AdmissionGate, function, request_id: int,
                      reason: str, waited_s: float):

@@ -1,8 +1,9 @@
 """The computation-reuse engine: cache consult, staleness policy,
 single-flight leadership, and the conservation extension.
 
-Sits between gateway admission and the overload controller's admission
-gate inside :meth:`repro.core.invoker.Invoker.invoke`:
+Its :meth:`ReuseEngine.cache_stage` is the request pipeline's cache
+stage, between gateway admission and the overload controller's gate
+stage (see :mod:`repro.core.invoker`):
 
 * a **fresh** hit answers without a sandbox, a gate slot, or a billing
   charge — the whole point of the cache;
@@ -28,9 +29,12 @@ without it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from typing import NamedTuple, Optional, TYPE_CHECKING
 
+from repro.core.records import InvocationResult
+from repro.errors import RequestShed
 from repro.obs.metrics import MetricSpec
+from repro.obs.spans import START_CACHED
 from repro.reuse.cache import (
     CacheEntry,
     Flight,
@@ -70,19 +74,16 @@ class ReuseConfig:
         return int(self.capacity_mb * 1024 * 1024)
 
 
-class CacheHit:
+class CacheHit(NamedTuple):
     """One request answered from the cache (fresh, coalesced or stale)."""
 
-    __slots__ = ("entry", "stale", "reason")
-
-    def __init__(self, entry: CacheEntry, stale: bool, reason: str):
-        self.entry = entry
-        #: True when the entry was past its TTL at serve time.  A
-        #: shed-downgrade of a still-fresh entry is *not* stale — the
-        #: flag reflects actual freshness, never the serve path.
-        self.stale = stale
-        #: "fresh" | "singleflight" | "pressure" | "deadline" | "shed".
-        self.reason = reason
+    entry: CacheEntry
+    #: True when the entry was past its TTL at serve time.  A
+    #: shed-downgrade of a still-fresh entry is *not* stale — the flag
+    #: reflects actual freshness, never the serve path.
+    stale: bool
+    #: "fresh" | "singleflight" | "pressure" | "deadline" | "shed".
+    reason: str
 
 
 #: Families the result-cache engine owns, registered when it is wired.
@@ -171,65 +172,149 @@ class ReuseEngine:
     def sim(self):
         return self.runtime.sim
 
-    # -- the consult path (called by Invoker.invoke) -----------------------------------
+    # -- the cache stage ----------------------------------------------------------------
+
+    def cache_stage(self, inner, gateway, request, bypass: bool,
+                    input_key: Optional[str]):
+        """Generator: the request pipeline's cache stage, around the
+        gate stage (``inner``).
+
+        A fresh entry answers without ever taking a gate slot or
+        touching a sandbox; an expired one is served stale when
+        :meth:`_stale_reason` allows, else revalidated.  A miss on a
+        key another request is executing parks on that single-flight
+        and is fanned its entry; otherwise the request leads a new
+        flight, runs ``inner`` and fills the cache with its result.
+
+        This is also the one place a shed request is answered stale:
+        when the gate refuses the request with :class:`RequestShed` and
+        an entry is present, an old answer beats no answer, and the
+        controller un-counts the shed so conservation holds with this
+        request in the answered column.  Either way a leader that did
+        not execute aborts its flight, so followers re-elect rather
+        than wedge (the stale entry is this request's answer, not
+        theirs).  Half-open breaker probes (``bypass``) skip the
+        consult: a cached answer would starve the probe and pin the
+        shard's breaker open.
+        """
+        function = request.function
+        flight = None
+        if bypass:
+            self.note_bypass(function, "probe")
+        elif not self.cacheable(function, input_key):
+            self.note_bypass(
+                function,
+                "no_key" if function.idempotent else "nonidempotent",
+            )
+        else:
+            sim = self.sim
+            name = function.name
+            key = (name, input_key)
+            registry = self.runtime.registry
+            while True:
+                entry = self.cache.get(name, input_key)
+                if (entry is not None
+                        and entry.generation != registry.generation(name)):
+                    # An invalidating deploy raced in under the entry:
+                    # it memoizes a retired version and must never serve.
+                    self.cache.discard(name, input_key)
+                    entry = None
+                if entry is not None:
+                    reason = (
+                        "fresh" if entry.fresh(sim.now)
+                        else self._stale_reason(gateway, request.request_id)
+                    )
+                    if reason is not None:
+                        yield sim.timeout(self.config.hit_latency_s)
+                        return self._answer(
+                            request, CacheHit(entry, reason != "fresh", reason)
+                        )
+                    # Expired and no pressure: revalidate through the
+                    # normal execution path (the fill refreshes the entry).
+                    self.revalidations += 1
+                joined = self.flights.lookup(key)
+                if joined is None:
+                    # Nobody is executing this key: lead the flight.
+                    self.misses += 1
+                    if self.metrics is not None:
+                        self.metrics.misses.child(name).inc()
+                    flight = self.flights.begin(key)
+                    break
+                waiter = self.flights.join(joined, sim)
+                yield waiter
+                if waiter.value is not None:
+                    return self._answer(
+                        request, CacheHit(waiter.value, False, "singleflight")
+                    )
+                # The leader died before filling: loop — this request
+                # either finds a newer flight or becomes the new leader.
+        try:
+            result = yield from inner
+        except RequestShed as shed:
+            if flight is not None:
+                self.flights.abort(flight)
+            hit = self.shed_fallback(function, input_key)
+            if hit is None:
+                raise
+            self.runtime.overload.rescind_shed(gateway, shed.reason)
+            return self._answer(request, hit)
+        except BaseException:
+            if flight is not None:
+                self.flights.abort(flight)
+            raise
+        if flight is not None:
+            self.fill(flight, function, result, request.payload_bytes)
+        else:
+            self.executed += 1
+        return result
+
+    def _answer(self, request, hit: "CacheHit"):
+        """The result of a request answered from the cache.
+
+        No sandbox ran and no PU core was held, so nothing is charged
+        to the billing ledger — near-zero-cost hits are the point of
+        memoization.
+        """
+        hit.entry.hits += 1
+        freshness = "stale" if hit.stale else "fresh"
+        if hit.stale:
+            self.served_stale += 1
+            self.stale_by_reason[hit.reason] = (
+                self.stale_by_reason.get(hit.reason, 0) + 1
+            )
+        else:
+            self.served_fresh += 1
+        if self.metrics is not None:
+            self.metrics.hits.child(
+                request.function.name, "stale" if hit.stale else hit.reason
+            ).inc()
+            if hit.stale:
+                self.metrics.stale.child(hit.reason).inc()
+        request.trace.annotate(
+            pu="cache",
+            pu_kind="cache",
+            start_kind=START_CACHED,
+            cache=freshness,
+            cache_reason=hit.reason,
+        )
+        return InvocationResult(
+            function=request.function.name,
+            request_id=request.request_id,
+            pu_name="cache",
+            pu_kind=None,
+            cold=False,
+            startup_s=0.0,
+            exec_s=0.0,
+            total_s=self.sim.now - request.start,
+            billed_cost=0.0,
+            payload=hit.entry.payload,
+            cache=freshness,
+        )
 
     def cacheable(self, function: "FunctionDef",
                   input_key: Optional[str]) -> bool:
         """True when this request may touch the cache at all."""
         return function.idempotent and input_key is not None
-
-    def lookup(self, function: "FunctionDef", input_key: Optional[str],
-               gateway, request_id: int):
-        """Generator: consult the cache for one admitted request.
-
-        Returns ``(hit, flight)``: a :class:`CacheHit` to answer from
-        (``flight`` None), or ``hit`` None with ``flight`` set when
-        this request leads a new single-flight execution, or both None
-        when the request is not cacheable and runs the normal path.
-        """
-        if not self.cacheable(function, input_key):
-            self.note_bypass(
-                function,
-                "no_key" if function.idempotent else "nonidempotent",
-            )
-            return (None, None)
-        sim = self.sim
-        name = function.name
-        key = (name, input_key)
-        registry = self.runtime.registry
-        while True:
-            entry = self.cache.get(name, input_key)
-            if (entry is not None
-                    and entry.generation != registry.generation(name)):
-                # An invalidating deploy raced in under the entry: it
-                # memoizes a retired version and must never serve.
-                self.cache.discard(name, input_key)
-                entry = None
-            if entry is not None:
-                if entry.fresh(sim.now):
-                    yield sim.timeout(self.config.hit_latency_s)
-                    return (CacheHit(entry, stale=False, reason="fresh"),
-                            None)
-                reason = self._stale_reason(gateway, request_id)
-                if reason is not None:
-                    yield sim.timeout(self.config.hit_latency_s)
-                    return (CacheHit(entry, stale=True, reason=reason), None)
-                # Expired and no pressure: revalidate through the
-                # normal execution path (the fill refreshes the entry).
-                self.revalidations += 1
-            flight = self.flights.lookup(key)
-            if flight is None:
-                self.misses += 1
-                if self.metrics is not None:
-                    self.metrics.misses.child(name).inc()
-                return (None, self.flights.begin(key))
-            waiter = self.flights.join(flight, sim)
-            yield waiter
-            if waiter.value is not None:
-                return (CacheHit(waiter.value, stale=False,
-                                 reason="singleflight"), None)
-            # The leader died before filling: loop — this request either
-            # finds a newer flight or becomes the replacement leader.
 
     def _stale_reason(self, gateway, request_id: int) -> Optional[str]:
         """Why an expired entry may be served anyway (None: revalidate).
@@ -278,29 +363,7 @@ class ReuseEngine:
         return CacheHit(entry, stale=not entry.fresh(self.sim.now),
                         reason="shed")
 
-    # -- accounting (called by Invoker) -------------------------------------------------
-
-    def note_served(self, function: "FunctionDef", hit: CacheHit) -> None:
-        """One request answered from the cache."""
-        hit.entry.hits += 1
-        if hit.stale:
-            self.served_stale += 1
-            self.stale_by_reason[hit.reason] = (
-                self.stale_by_reason.get(hit.reason, 0) + 1
-            )
-        else:
-            self.served_fresh += 1
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.hits.child(
-                function.name, "stale" if hit.stale else hit.reason
-            ).inc()
-            if hit.stale:
-                metrics.stale.child(hit.reason).inc()
-
-    def note_executed(self) -> None:
-        """One request answered by real execution (cacheable or not)."""
-        self.executed += 1
+    # -- accounting ---------------------------------------------------------------------
 
     def note_bypass(self, function: "FunctionDef", reason: str) -> None:
         """One request that skipped the cache consult entirely.
@@ -344,11 +407,6 @@ class ReuseEngine:
             if served:
                 metrics.singleflight.child(name).inc(served)
         return entry
-
-    def abort(self, flight: Flight) -> None:
-        """The single-flight leader died before filling: close the
-        flight so followers re-elect instead of wedging."""
-        self.flights.abort(flight)
 
     def invalidate(self, name: str) -> int:
         """Eagerly drop every entry of ``name`` (redeploy hook; the

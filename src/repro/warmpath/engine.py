@@ -43,7 +43,8 @@ from repro.warmpath.coalesce import CoalescedBatch, ColdStartCoalescer
 from repro.warmpath.predictor import ArrivalPredictor
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.invoker import FunctionInstance, Invoker
+    from repro.core.invoker import Invoker
+    from repro.core.records import FunctionInstance
     from repro.core.molecule import MoleculeRuntime
     from repro.core.registry import FunctionDef
 
@@ -184,11 +185,6 @@ class WarmPathEngine:
 
     # -- cold-start coalescing ------------------------------------------------------
 
-    @property
-    def coalesce_enabled(self) -> bool:
-        """True while misses should try to join a single-flight batch."""
-        return self.config.coalesce
-
     def joinable_batch(self, function: "FunctionDef", kind, pu,
                        exclude=None) -> Optional[CoalescedBatch]:
         """An open batch this miss may join (None: become a leader).
@@ -216,10 +212,9 @@ class WarmPathEngine:
             return None
         return self.coalescer.begin(function.name, target.pu_id)
 
-    def abort_batch(self, batch: Optional[CoalescedBatch]) -> None:
+    def abort_batch(self, batch: CoalescedBatch) -> None:
         """The leader's cold start failed: wake every follower to retry."""
-        if batch is not None:
-            self.coalescer.close(batch)
+        self.coalescer.close(batch)
 
     def on_follower_joined(self, batch: CoalescedBatch) -> None:
         """A miss just parked on ``batch``: fork an extra instance for
@@ -270,7 +265,7 @@ class WarmPathEngine:
             if not invoker._is_alive(instance):
                 invoker.sim.spawn(invoker._destroy(instance))
                 continue
-            self._note_prewarm_use(instance)
+            self.on_warm_acquire(instance)
             self.coalescer.deliver(batch, instance)
         self._maybe_close(batch)
 
@@ -308,12 +303,7 @@ class WarmPathEngine:
                 invoker.sim.spawn(invoker._destroy(instance))
             elif not self.coalescer.deliver(batch, instance):
                 # Nobody left waiting: stock the warm pool instead.
-                evicted = invoker.pools[target.pu_id].release(
-                    instance, now=invoker.sim.now
-                )
-                invoker.notify_idle()
-                for old in evicted:
-                    invoker.sim.spawn(invoker._destroy(old))
+                invoker._pool(instance)
         batch.spawning -= 1
         self._maybe_close(batch)
 
@@ -343,8 +333,9 @@ class WarmPathEngine:
 
     # -- pre-warm accounting ---------------------------------------------------------
 
-    def _note_prewarm_use(self, instance: "FunctionInstance") -> None:
-        """Credit a pre-warmed instance the moment a request claims it."""
+    def on_warm_acquire(self, instance: "FunctionInstance") -> None:
+        """A pooled instance is about to serve a request: credit it if
+        it was pre-warmed and this is its first claim."""
         if instance.prewarmed:
             instance.prewarmed = False
             if instance.requests_served == 0:
@@ -352,10 +343,6 @@ class WarmPathEngine:
                 self._outcomes.append(False)
                 if self.metrics is not None:
                     self.metrics.prewarm_hits.child(instance.function.name).inc()
-
-    def on_warm_acquire(self, instance: "FunctionInstance") -> None:
-        """Invoker hook: a warm-pool acquire is about to serve a request."""
-        self._note_prewarm_use(instance)
 
     def on_instance_destroyed(self, instance: "FunctionInstance") -> None:
         """Invoker hook: an instance died; debit it if it was a
@@ -530,12 +517,7 @@ class WarmPathEngine:
         if not invoker._is_alive(instance):
             invoker.sim.spawn(invoker._destroy(instance))
             return
-        evicted = invoker.pools[target.pu_id].release(
-            instance, now=invoker.sim.now
-        )
-        invoker.notify_idle()
-        for old in evicted:
-            invoker.sim.spawn(invoker._destroy(old))
+        invoker._pool(instance)
 
     def _reap(self, now: float) -> None:
         """Apply adaptive TTLs on pools the stock reaper does not cover
@@ -548,16 +530,7 @@ class WarmPathEngine:
             # A stock reaper exists; it honours ttl_overrides itself.
             invoker.notify_idle()
             return
-        reaped = 0
-        for pool in invoker.pools.values():
-            if not pool.ttl_overrides:
-                continue
-            for instance in pool.reap_expired(now):
-                invoker.sim.spawn(invoker._destroy(instance))
-                reaped += 1
-        self.prewarm_reaped += reaped
-        if reaped and self.runtime.obs is not None:
-            self.runtime.obs.metrics.keepalive_reaped_total.inc(reaped)
+        self.prewarm_reaped += invoker._reap(now)
 
     # -- bitstream prefetch ----------------------------------------------------------
 
@@ -583,40 +556,35 @@ class WarmPathEngine:
         for funcs, _event in self._prefetch_inflight.values():
             if function.name in funcs:
                 return  # already being programmed
+        target = self.idle_fpga(candidates)
+        if target is None:
+            return
+        runtime.sim.spawn(
+            self._run_prefetch(function, target),
+            name=f"prefetch:{function.name}@{target.name}",
+        )
+
+    def idle_fpga(self, candidates) -> Optional[ProcessingUnit]:
+        """The least-programmed FPGA among ``candidates`` that is not
+        mid-prefetch (None when every one is): where both a prefetch
+        and a request's repack program their next image."""
         free = [
             pu for pu in candidates
             if pu.pu_id not in self._prefetch_inflight
         ]
         if not free:
-            return
-        target = min(
-            free,
-            key=lambda pu: runtime.runf_on(pu.pu_id).device.program_count,
-        )
-        runtime.sim.spawn(
-            self._run_prefetch(function, target),
-            name=f"prefetch:{function.name}@{target.name}",
-        )
+            return None
+        runf_on = self.runtime.runf_on
+        return min(free, key=lambda pu: runf_on(pu.pu_id).device.program_count)
 
     def _run_prefetch(self, function: "FunctionDef",
                       target: ProcessingUnit):
         """Generator: plan and program one image before demand lands."""
         runtime = self.runtime
         runf = runtime.runf_on(target.pu_id)
-        predicted = [function.name] + [
-            n for n in runf.resident_function_ids if n != function.name
-        ]
-        plan = runtime.image_planner.plan(predicted)
-        invoker = runtime.invoker
-        entries = []
-        for fn_name in plan.func_names:
-            fn = runtime.registry.get(fn_name)
-            for _copy in range(plan.copies_each):
-                entries.append(
-                    (f"{fn_name}-v{next(invoker._sandbox_ids)}", fn.code)
-                )
+        func_names, entries = runtime.invoker._image_entries(runf, function)
         done = runtime.sim.event()
-        self._prefetch_inflight[target.pu_id] = (set(plan.func_names), done)
+        self._prefetch_inflight[target.pu_id] = (set(func_names), done)
         ok = False
         try:
             yield from runf.create_vector(entries)
@@ -637,7 +605,7 @@ class WarmPathEngine:
             (pu_id, name) for pu_id, name in self._prefetched
             if pu_id != target.pu_id
         }
-        for name in plan.func_names:
+        for name in func_names:
             self._prefetched.add((target.pu_id, name))
 
     def join_bitstream_prefetch(self, function: "FunctionDef"):

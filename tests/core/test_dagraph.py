@@ -65,6 +65,33 @@ def test_topological_nodes_respect_edges():
     assert dag.sinks == ["d"]
 
 
+def test_topological_order_is_pinned():
+    """Generations in order, each generation in the order its nodes
+    became ready."""
+    assert alexa_tree().nodes == [
+        "frontend", "interact", "smarthome", "door", "light",
+    ]
+    diamond = FunctionDag(
+        "diamond",
+        [DagEdge("a", "b"), DagEdge("a", "c"), DagEdge("b", "d"), DagEdge("c", "d")],
+    )
+    assert diamond.nodes == ["a", "b", "c", "d"]
+    wide = FunctionDag(
+        "wide",
+        [DagEdge("r", "z"), DagEdge("r", "y"), DagEdge("y", "x"),
+         DagEdge("z", "x"), DagEdge("r", "x")],
+    )
+    assert wide.nodes == ["r", "z", "y", "x"]
+    assert [(e.src, e.dst) for e in wide.edges] == [
+        ("r", "z"), ("r", "y"), ("r", "x"), ("z", "x"), ("y", "x"),
+    ]
+
+
+def test_self_loop_is_a_cycle():
+    with pytest.raises(WorkloadError):
+        FunctionDag("self", [DagEdge("a", "b"), DagEdge("b", "b")])
+
+
 def test_critical_path_weighted_by_exec():
     dag = FunctionDag(
         "diamond",

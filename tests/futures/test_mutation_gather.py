@@ -6,11 +6,11 @@ mechanism of the speculation race — the way a regression would — and
 asserts the corresponding detector actually fires; the unmutated twin
 asserts it stays silent.
 
-* loser cancellation: stub the invoker's ``_hedge_lost`` checkpoint
+* loser cancellation: stub the hedge join state's ``lost`` checkpoint
   probe to "never lost" — losing copies run to completion, the
   completed-loser counter moves and their execution is double-billed
   as hedge waste;
-* clone anti-affinity: stub ``_hedge_exclude`` to "exclude nothing" —
+* clone anti-affinity: stub its ``avoid`` to "exclude nothing" —
   clones land on their primary's PU and the speculation policy's
   placement check trips.
 """
@@ -19,8 +19,8 @@ import operator
 
 import pytest
 
-from repro.core.invoker import Invoker
 from repro.futures import synthetic_dataset
+from repro.hedging.engine import _HedgeState
 
 from tests.futures.util import straggler_runtime
 
@@ -36,12 +36,12 @@ def _run_job(runtime):
 @pytest.fixture
 def unpatched():
     saved = {
-        name: getattr(Invoker, name)
-        for name in ("_hedge_lost", "_hedge_exclude")
+        name: getattr(_HedgeState, name)
+        for name in ("lost", "avoid")
     }
     yield
     for name, fn in saved.items():
-        setattr(Invoker, name, fn)
+        setattr(_HedgeState, name, fn)
 
 
 def test_baseline_race_is_clean():
@@ -57,7 +57,7 @@ def test_disabling_cancellation_checkpoints_is_detected(unpatched):
     """No checkpoint ever reports the race lost -> losers run to
     completion and their execution is charged as double-billed
     waste."""
-    Invoker._hedge_lost = lambda self, hedge: False
+    _HedgeState.lost = lambda self, tag: False
     runtime = straggler_runtime()
     _run_job(runtime)
     spec = runtime.fanout.speculation
@@ -72,7 +72,7 @@ def test_disabling_cancellation_checkpoints_is_detected(unpatched):
 def test_forcing_same_pu_clones_is_detected(unpatched):
     """Clone placement ignores anti-affinity -> clones land on the
     primary's PU and the placement check trips."""
-    Invoker._hedge_exclude = lambda self, hedge: None
+    _HedgeState.avoid = lambda self, tag: None
     runtime = straggler_runtime()
     _run_job(runtime)
     spec = runtime.fanout.speculation
@@ -87,16 +87,16 @@ def test_mutations_do_not_break_results(unpatched):
 
     expected = functools.reduce(operator.add, [x * x for x in ITEMS])
     for mutation in (
-        ("_hedge_lost", lambda self, hedge: False),
-        ("_hedge_exclude", lambda self, hedge: None),
+        ("lost", lambda self, tag: False),
+        ("avoid", lambda self, tag: None),
     ):
-        saved = getattr(Invoker, mutation[0])
-        setattr(Invoker, mutation[0], mutation[1])
+        saved = getattr(_HedgeState, mutation[0])
+        setattr(_HedgeState, mutation[0], mutation[1])
         try:
             runtime = straggler_runtime()
             job = _run_job(runtime)
         finally:
-            setattr(Invoker, mutation[0], saved)
+            setattr(_HedgeState, mutation[0], saved)
         assert job.value == expected
         assert runtime.fanout.tasks_done == 32
         assert len(runtime.fanout.task_log) == 32

@@ -26,6 +26,7 @@ from repro import (
 )
 from repro.core.invoker import Invoker
 from repro.errors import ReproError
+from repro.hedging.engine import _HedgeState
 
 #: Aggressive enough that a 24-request cold stampede hedges most of the
 #: queue (the fallback trigger fires long before any cold start ends).
@@ -131,7 +132,7 @@ def test_mutation_disabled_checkpoints_is_caught(monkeypatch):
     """Blind the loss checkpoints: losers run to completion, respond,
     and double-bill — every signal the detector watches for."""
     monkeypatch.setattr(
-        Invoker, "_hedge_lost", lambda self, hedge: False
+        _HedgeState, "lost", lambda self, tag: False
     )
     molecule, outcomes = _stampede(_CFG)
     # The run still answers (first-wins claim is the last line of

@@ -383,6 +383,25 @@ def _print_faults(args) -> int:
     return 0
 
 
+def _compare(report: dict, args, harness) -> int:
+    """``--compare``: diff ``report`` against the prior one with the
+    ``harness`` module's comparison; exit 1 on a regression only with
+    ``--fail-on-regression``."""
+    import json
+
+    if args.compare is None:
+        return 0
+    with open(args.compare, encoding="utf-8") as handle:
+        prior = json.load(handle)
+    threshold = (
+        args.threshold if args.threshold is not None
+        else harness.DEFAULT_REGRESSION_THRESHOLD
+    )
+    regressions = harness.compare_reports(report, prior, threshold)
+    print(harness.format_comparison(regressions, threshold))
+    return 1 if regressions and args.fail_on_regression else 0
+
+
 def _print_perf(args) -> int:
     """``repro perf``: run wall-clock benchmarks, write BENCH_perf.json."""
     import json
@@ -415,19 +434,20 @@ def _print_perf(args) -> int:
         print()
         print(perf.format_profile(profiles))
         print(f"\nwrote {sidecar}")
-    if args.compare is None:
-        return 0
-    with open(args.compare, encoding="utf-8") as handle:
-        prior = json.load(handle)
-    threshold = (
-        args.threshold if args.threshold is not None
-        else perf.DEFAULT_REGRESSION_THRESHOLD
-    )
-    regressions = perf.compare_reports(report, prior, threshold)
-    print(perf.format_comparison(regressions, threshold))
-    if regressions and args.fail_on_regression:
-        return 1
-    return 0
+    return _compare(report, args, perf.bench)
+
+
+def load_kwargs(args) -> dict:
+    """The ``run_load`` keywords in parsed ``repro load`` flags: each
+    option's dest is the keyword it sets."""
+    import inspect
+
+    from repro.loadgen import run_load
+
+    return {
+        name: getattr(args, name)
+        for name in inspect.signature(run_load).parameters
+    }
 
 
 def _print_load(args) -> int:
@@ -435,40 +455,12 @@ def _print_load(args) -> int:
     import json
 
     from repro import loadgen
+    from repro.errors import ReproError
 
     try:
-        report = loadgen.run_load(
-            args.scenario,
-            seed=args.seed,
-            rps=args.rps,
-            duration_s=args.duration,
-            shards=args.shards,
-            policy=args.route,
-            quick=args.quick,
-            mode=args.mode,
-            concurrency=args.concurrency,
-            keep_alive_ttl_s=args.keepalive,
-            prewarm=args.prewarm,
-            hedge=args.hedge,
-            hedge_percentile=args.hedge_percentile,
-            overload=args.overload,
-            hedge_budget=args.hedge_budget,
-            deadline_s=args.deadline,
-            tasks=args.tasks,
-            fanout_gather=not args.no_gather,
-            reuse=args.reuse,
-            zipf_s=args.zipf_s,
-            cache_mb=args.cache_mb,
-            keepalive_policy=args.keepalive_policy,
-        )
-    except Exception as exc:
-        from repro.errors import ReproError
-
-        if not isinstance(exc, ReproError):
-            raise
+        report = loadgen.run_load(**load_kwargs(args))
+    except ReproError as exc:
         print(exc, file=sys.stderr)
-        print(f"available: {', '.join(loadgen.scenario_names())}",
-              file=sys.stderr)
         return 2
     loadgen.write_report(report, args.output)
     if args.json:
@@ -478,19 +470,7 @@ def _print_load(args) -> int:
     else:
         print(loadgen.format_report(report))
     print(f"\nwrote {args.output}")
-    if args.compare is None:
-        return 0
-    with open(args.compare, encoding="utf-8") as handle:
-        prior = json.load(handle)
-    threshold = (
-        args.threshold if args.threshold is not None
-        else loadgen.slo.DEFAULT_REGRESSION_THRESHOLD
-    )
-    regressions = loadgen.compare_reports(report, prior, threshold)
-    print(loadgen.format_comparison(regressions, threshold))
-    if regressions and args.fail_on_regression:
-        return 1
-    return 0
+    return _compare(report, args, loadgen.slo)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -565,12 +545,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="peak arrival rate per second "
                            "(default: 200, or 40 with --quick)")
     load.add_argument("--duration", type=float, default=None,
+                      dest="duration_s", metavar="SECONDS",
                       help="plan duration in simulated seconds "
                            "(default: 60, or 5 with --quick)")
     load.add_argument("--shards", type=int, default=None,
                       help="gateway shard count (default: 4, or 2 with "
                            "--quick)")
-    load.add_argument("--route", default="hash",
+    load.add_argument("--route", default="hash", dest="policy",
                       choices=["hash", "least-outstanding", "locality"],
                       help="shard routing policy (default: hash)")
     load.add_argument("--mode", default="open", choices=["open", "closed"],
@@ -587,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "coalescing, predictive pre-warm and "
                            "adaptive keep-alive TTLs")
     load.add_argument("--keepalive", type=float, default=None,
-                      metavar="SECONDS",
+                      metavar="SECONDS", dest="keep_alive_ttl_s",
                       help="pool-wide keep-alive TTL for idle instances "
                            "(default: keep forever)")
     load.add_argument("--keepalive-policy", default="ttl",
@@ -602,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--hedge-percentile", type=float, default=None,
                       metavar="PCT",
                       help="latency percentile that triggers a hedge "
-                           "clone (default: 95)")
+                           "clone (default: 95; implies --hedge)")
     load.add_argument("--hedge-budget", type=float, default=None,
                       metavar="RATIO",
                       help="global hedge token bucket: at most RATIO "
@@ -616,7 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="N",
                       help="fanout scenario: target at least N partition "
                            "tasks (resizes the job schedule)")
-    load.add_argument("--no-gather", action="store_true",
+    load.add_argument("--no-gather", action="store_false",
+                      dest="fanout_gather",
                       help="fanout scenario: disarm straggler-aware "
                            "gather (speculative re-execution)")
     load.add_argument("--reuse", action="store_true",
@@ -625,16 +607,16 @@ def build_parser() -> argparse.ArgumentParser:
                            "stale-under-pressure serving (the zipf "
                            "scenario's A/B lever)")
     load.add_argument("--zipf-s", type=float, default=None, dest="zipf_s",
-                      help="zipf/reuse: input-popularity skew "
+                      help="zipf or --reuse: input-popularity skew "
                            "(default: 1.1)")
     load.add_argument("--cache-mb", type=float, default=None,
                       dest="cache_mb",
-                      help="reuse: result-cache capacity in MB "
+                      help="--reuse: result-cache capacity in MB "
                            "(default: 8)")
     load.add_argument("--deadline", type=float, default=None,
-                      metavar="SECONDS",
+                      metavar="SECONDS", dest="deadline_s",
                       help="per-request deadline (default: 30, or 2 "
-                           "for the overload scenario)")
+                           "for the overload and zipf scenarios)")
     load.add_argument("--json", action="store_true",
                       help="emit the JSON report (minus host info) "
                            "instead of the summary")

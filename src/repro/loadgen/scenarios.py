@@ -13,7 +13,7 @@ and finishes in a couple of wall-clock seconds on the tuned kernel.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from repro import config
@@ -47,12 +47,6 @@ FULL_DEFAULTS = (200.0, 60.0, 4)
 #: to push offered load well past the point where the DPU path's cold
 #: stampedes turn into congestion collapse.
 OVERLOAD_FACTOR = 8.0
-#: ... with a deadline tight enough that queueing visibly eats it.
-OVERLOAD_DEADLINE_S = 2.0
-#: ... and a keep-alive TTL equal to the deadline: long enough to ride
-#: out burst gaps, short enough that the initial stampede and the
-#: post-crash re-stampede still re-pay their cold starts.
-OVERLOAD_KEEP_ALIVE_S = 2.0
 
 #: The ``zipf`` scenario's input-popularity defaults: each function
 #: draws its inputs from this many distinct keys with Zipf(s) skew.
@@ -62,11 +56,10 @@ OVERLOAD_KEEP_ALIVE_S = 2.0
 ZIPF_SKEW = 1.1
 ZIPF_KEYS_PER_FUNCTION = 32
 #: The ``zipf`` scenario multiplies the nominal rps by this factor so
-#: the cache-off run visibly queues (and, under the scenario's default
-#: deadline below, loses its slowest requests) — the headroom the
-#: result cache then wins back.
+#: the cache-off run visibly queues (and, under the scenario's tight
+#: deadline, loses its slowest requests) — the headroom the result
+#: cache then wins back.
 ZIPF_FACTOR = 4.0
-ZIPF_DEADLINE_S = 2.0
 
 #: The ``fanout`` scenario's job shape: every arrival is one
 #: map_reduce job over this many partitions of this many items each,
@@ -96,7 +89,7 @@ def default_mix() -> FunctionMix:
 
 def scenario_names() -> list[str]:
     """Names of every canned scenario, sorted."""
-    return sorted(_SCENARIOS)
+    return sorted(SCENARIOS)
 
 
 def _plan_poisson(rng: SeededRng, rps: float, duration_s: float) -> ArrivalPlan:
@@ -256,15 +249,54 @@ def fanout_invoke_factory(engine, frontend, seed: int):
     return factory
 
 
-#: name -> plan builder; ``repro load --scenario`` keys into this.
-_SCENARIOS: dict[str, Callable[[SeededRng, float, float], ArrivalPlan]] = {
-    "poisson": _plan_poisson,
-    "burst": _plan_burst,
-    "diurnal": _plan_diurnal,
-    "azure": _plan_azure,
-    "overload": _plan_overload,
-    "fanout": _plan_fanout,
-    "zipf": _plan_zipf,
+#: The per-request deadline of every scenario without a tighter one.
+DEFAULT_DEADLINE_S = 30.0
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One canned load scenario: its arrival plan and the defaults
+    ``run_load`` resolves its arguments against.  Explicit arguments
+    always win over the row."""
+
+    #: ``(rng, rps, duration_s) -> ArrivalPlan``.
+    plan: Callable[..., ArrivalPlan]
+    deadline_s: float = DEFAULT_DEADLINE_S
+    #: Pool-wide keep-alive TTL; None keeps idle instances forever.
+    keep_alive_ttl_s: Optional[float] = None
+    #: ``duration_s -> FaultPlan`` armed at workload start.
+    fault_plan: Optional[Callable[[float], object]] = None
+    #: The plan carries Zipf input keys (built at ``zipf_s`` skew), and
+    #: functions deploy idempotent even cache-off so the scenario's A/B
+    #: pair differs only by the result cache.
+    idempotent: bool = False
+    #: Every arrival is one map_reduce job over FANOUT_PARTITIONS
+    #: partitions.  A job lands that many cold misses on one (function,
+    #: PU) within milliseconds and each DPU's executor daemon is a
+    #: serial command loop, so the scenario forces the warm path's
+    #: single-flight coalescing on.
+    fanout: bool = False
+
+
+#: ``repro load --scenario`` keys into this; it is the only place a
+#: scenario's defaults live.
+SCENARIOS: dict[str, Scenario] = {
+    "poisson": Scenario(_plan_poisson),
+    "burst": Scenario(_plan_burst),
+    "diurnal": Scenario(_plan_diurnal),
+    "azure": Scenario(_plan_azure),
+    # Chaos under saturation: a deadline tight enough for queueing to
+    # eat, a keep-alive TTL equal to it (long enough to ride out burst
+    # gaps, short enough that the initial stampede and the post-crash
+    # re-stampede still re-pay their cold starts) and a DPU crash.
+    "overload": Scenario(
+        _plan_overload, deadline_s=2.0, keep_alive_ttl_s=2.0,
+        fault_plan=overload_fault_plan,
+    ),
+    "fanout": Scenario(_plan_fanout, fanout=True),
+    # Tight enough that the cache-off run's queueing tail dies at the
+    # deadline: the headroom the A/B comparison measures.
+    "zipf": Scenario(_plan_zipf, deadline_s=2.0, idempotent=True),
 }
 
 
@@ -273,46 +305,42 @@ def build_runtime(
     seed: int,
     shards: int,
     policy: str = "hash",
-    num_dpus: int = 2,
-    default_deadline_s: float = 30.0,
+    default_deadline_s: float = DEFAULT_DEADLINE_S,
     keep_alive_ttl_s: Optional[float] = None,
     prewarm: bool = False,
     hedge=False,
     hedge_percentile: Optional[float] = None,
     overload=False,
     hedge_budget: Optional[float] = None,
-    batched: bool = True,
     fanout=None,
     reuse=False,
     cache_mb: Optional[float] = None,
     idempotent: bool = False,
     keepalive_policy: str = "ttl",
 ):
-    """Boot a deployment sized for ``plan`` with a sharded front end.
+    """Boot a two-DPU deployment for ``plan`` behind a sharded front end.
 
     Per-stage percentiles come from the samples the observability hub
     streams, so its trace ring keeps only recent traces.  ``prewarm``
     arms the warm-path engine (cold-start coalescing + predictive
     pre-warm); ``hedge`` arms the tail-latency hedging engine (pass
-    True for defaults or a HedgeConfig for full control, with
-    ``hedge_percentile`` overriding the trigger percentile);
-    ``overload`` arms the overload controller (True for defaults or an
-    OverloadConfig); ``hedge_budget`` sets the hedge clone token-bucket
-    ratio (implies ``hedge``).  All are off by default so existing runs
-    stay byte-identical.  ``batched=False`` runs on the kernel's
-    pre-batch reference loop (same trace, roughly half the throughput)
-    — the A/B lever the ``loadgen_replay`` perf scenario measures.
-    ``reuse`` arms the result-cache engine (True for defaults or a
-    ReuseConfig; ``cache_mb`` overrides its capacity), ``idempotent``
-    deploys every function cache-eligible, and ``keepalive_policy``
-    selects the warm-pool eviction policy (``"ttl"`` LRU+TTL or
-    ``"gdsf"`` FaasCache-style greedy-dual).
+    True for defaults or a HedgeConfig for full control);
+    ``hedge_percentile`` overrides its trigger percentile and
+    ``hedge_budget`` its clone token-bucket ratio, and either one
+    implies ``hedge``.  ``overload`` arms the overload controller (True
+    for defaults or an OverloadConfig).  All are off by default so
+    existing runs stay byte-identical.  ``reuse`` arms the result-cache
+    engine (True for defaults or a ReuseConfig; ``cache_mb`` overrides
+    its capacity), ``idempotent`` deploys every function
+    cache-eligible, and ``keepalive_policy`` selects the warm-pool
+    eviction policy (``"ttl"`` LRU+TTL or ``"gdsf"`` FaasCache-style
+    greedy-dual).
     """
-    sim = Simulator(batched=batched)
-    machine = build_cpu_dpu_machine(sim, num_dpus=num_dpus)
+    sim = Simulator()
+    machine = build_cpu_dpu_machine(sim)
     obs = Observability(sim)
     hedging = None
-    if hedge or hedge_budget is not None:
+    if hedge or hedge_percentile is not None or hedge_budget is not None:
         from repro.hedging import HedgeConfig
 
         hedging = hedge if isinstance(hedge, HedgeConfig) else HedgeConfig()
@@ -380,7 +408,6 @@ def run_load(
     quick: bool = False,
     mode: str = "open",
     concurrency: int = 64,
-    fault_plan=None,
     keep_alive_ttl_s: Optional[float] = None,
     prewarm: bool = False,
     hedge=False,
@@ -397,58 +424,55 @@ def run_load(
 ) -> dict:
     """Run one canned load scenario and return its BENCH_load report.
 
+    Unset arguments take the scenario's defaults from SCENARIOS.
     ``tasks`` (fanout scenario only) targets a partition-task count:
     the job schedule is resized so at least that many partition tasks
-    run.  ``fanout_gather=False`` disarms straggler speculation — the
-    A/B lever behind BENCH_load_fanout.json's p99 comparison.
-    ``reuse`` arms the result cache (the ``zipf`` scenario's A/B
-    lever; on any other scenario it also Zipf-attaches input keys so
-    requests are cacheable), ``zipf_s`` overrides the input skew and
-    ``cache_mb`` the cache capacity.
+    run.  ``fanout_gather=False`` (fanout only) disarms straggler
+    speculation — the A/B lever behind BENCH_load_fanout.json's p99
+    comparison.  ``reuse`` arms the result cache (the ``zipf``
+    scenario's A/B lever; on any other scenario it also Zipf-attaches
+    input keys so requests are cacheable), ``zipf_s`` overrides the
+    input skew of a keyed plan and ``cache_mb`` the cache capacity.
+    An argument that cannot apply to the run raises ReproError rather
+    than being ignored.
     """
     try:
-        plan_builder = _SCENARIOS[scenario]
+        row = SCENARIOS[scenario]
     except KeyError:
         raise ReproError(
             f"unknown scenario {scenario!r}; available: {scenario_names()}"
         ) from None
     if mode not in ("open", "closed"):
         raise ReproError(f"unknown drive mode {mode!r}: open or closed")
+    keyed = row.idempotent or bool(reuse)
+    if not row.fanout and (tasks is not None or not fanout_gather):
+        raise ReproError(
+            "tasks and fanout_gather (--tasks, --no-gather) apply only "
+            f"to the fanout scenario, not {scenario!r}"
+        )
+    if cache_mb is not None and not reuse:
+        raise ReproError("cache_mb (--cache-mb) needs reuse (--reuse)")
+    if zipf_s is not None and not keyed:
+        raise ReproError(
+            "zipf_s (--zipf-s) needs input keys: the zipf scenario or "
+            "reuse (--reuse)"
+        )
     seed = seed if seed is not None else config.default_seed()
     d_rps, d_duration, d_shards = QUICK_DEFAULTS if quick else FULL_DEFAULTS
     rps = rps if rps is not None else d_rps
     duration_s = duration_s if duration_s is not None else d_duration
     shards = shards if shards is not None else d_shards
-    if scenario == "overload":
-        # The chaos-under-saturation defaults: a deadline tight enough
-        # for queueing to eat, cold stampedes every burst, and a DPU
-        # crash mid-run.  Each is only a default — explicit arguments
-        # still win.
-        if deadline_s is None:
-            deadline_s = OVERLOAD_DEADLINE_S
-        if keep_alive_ttl_s is None:
-            keep_alive_ttl_s = OVERLOAD_KEEP_ALIVE_S
-        if fault_plan is None:
-            fault_plan = overload_fault_plan(duration_s)
-    if scenario == "zipf" and deadline_s is None:
-        # Tight enough that the cache-off run's queueing tail dies at
-        # the deadline — the headroom the A/B comparison measures.
-        deadline_s = ZIPF_DEADLINE_S
+    deadline_s = deadline_s if deadline_s is not None else row.deadline_s
+    if keep_alive_ttl_s is None:
+        keep_alive_ttl_s = row.keep_alive_ttl_s
+    prewarm = prewarm or row.fanout
     fanout_cfg = None
-    if scenario == "fanout":
+    if row.fanout:
         from repro.futures import FanoutConfig
 
-        # A fan-out job lands FANOUT_PARTITIONS cold misses on the
-        # same (function, PU) within milliseconds; each DPU's executor
-        # daemon is a serial command loop, so un-coalesced storms
-        # queue 64 cold starts back to back and blow the deadline.
-        # The warm-path engine is the designed answer (single-flight
-        # batches), so the scenario arms it.
-        prewarm = True
         if tasks is not None:
-            # Resize the job schedule to the task target: the plan
-            # builder turns the nominal request budget into jobs of
-            # FANOUT_PARTITIONS tasks each.
+            # The plan builder turns the nominal request budget into
+            # jobs of FANOUT_PARTITIONS tasks each.
             rps = tasks / duration_s
         fanout_cfg = FanoutConfig(
             partitions=FANOUT_PARTITIONS, speculate=fanout_gather
@@ -456,14 +480,14 @@ def run_load(
 
     skew = zipf_s if zipf_s is not None else ZIPF_SKEW
     rng = SeededRng(seed).fork(f"loadgen:{scenario}")
-    if scenario == "zipf":
-        plan = _plan_zipf(rng, rps, duration_s, skew=skew)
+    if row.idempotent:
+        plan = row.plan(rng, rps, duration_s, skew=skew)
     else:
-        plan = plan_builder(rng, rps, duration_s)
+        plan = row.plan(rng, rps, duration_s)
         if reuse:
-            # Reuse on a non-zipf scenario: attach input keys off a
-            # fresh fork the base plan never consumes, so the cache-off
-            # run of the same scenario stays byte-identical.
+            # Keys off a fresh fork the base plan never consumes, so
+            # the cache-off run of the same scenario stays
+            # byte-identical.
             plan = attach_zipf_inputs(
                 plan,
                 SeededRng(seed).fork(f"loadgen:{scenario}:zipf-keys"),
@@ -473,20 +497,17 @@ def run_load(
     wall_start = time.perf_counter()
     runtime, frontend = build_runtime(
         plan, seed, shards, policy=policy,
-        default_deadline_s=deadline_s if deadline_s is not None else 30.0,
+        default_deadline_s=deadline_s,
         keep_alive_ttl_s=keep_alive_ttl_s, prewarm=prewarm,
         hedge=hedge, hedge_percentile=hedge_percentile,
         overload=overload, hedge_budget=hedge_budget,
         fanout=fanout_cfg,
         reuse=reuse, cache_mb=cache_mb,
-        # Cache eligibility is per-function opt-in: the zipf scenario
-        # deploys idempotent functions even cache-off so its A/B pair
-        # differs only by the engine.
-        idempotent=(scenario == "zipf") or bool(reuse),
+        idempotent=keyed,
         keepalive_policy=keepalive_policy,
     )
-    if fault_plan is not None:
-        attach_fault_plan(runtime, fault_plan)
+    if row.fault_plan is not None:
+        attach_fault_plan(runtime, row.fault_plan(duration_s))
     busy_baseline = {
         pu_id: pu.clock.busy_time
         for pu_id, pu in runtime.machine.pus.items()
@@ -512,65 +533,42 @@ def run_load(
     records = driver.run()
     wall_s = time.perf_counter() - wall_start
 
+    hedging = runtime.hedging.config if runtime.hedging is not None else None
+    cache = runtime.reuse.config if runtime.reuse is not None else None
+    # A key whose value is None is left out, so a report names only the
+    # engines and non-default settings its run used.
+    params = {
+        "seed": seed, "rps": rps, "duration_s": duration_s,
+        "shards": shards, "policy": policy, "mode": mode, "quick": quick,
+        "prewarm": prewarm,
+        "deadline_s": (
+            deadline_s if deadline_s != DEFAULT_DEADLINE_S else None
+        ),
+        "keep_alive_ttl_s": keep_alive_ttl_s,
+        "hedge": True if hedging is not None else None,
+        "hedge_percentile": (
+            hedging.percentile if hedging is not None else None
+        ),
+        "hedge_budget": hedge_budget,
+        "overload": True if runtime.overload is not None else None,
+        "zipf_s": skew if keyed else None,
+        "reuse": True if cache is not None else None,
+        "cache_mb": cache.capacity_mb if cache is not None else None,
+        "keepalive_policy": (
+            keepalive_policy if keepalive_policy != "ttl" else None
+        ),
+        "concurrency": concurrency if mode == "closed" else None,
+        "fanout": True if row.fanout else None,
+        "fanout_gather": fanout_gather if row.fanout else None,
+        "tasks": tasks,
+    }
     report = build_report(
         runtime,
         plan,
         records,
         scenario,
-        params={
-            "seed": seed,
-            "rps": rps,
-            "duration_s": duration_s,
-            "shards": shards,
-            "policy": policy,
-            "mode": mode,
-            "quick": quick,
-            "prewarm": prewarm,
-            **(
-                {"deadline_s": deadline_s}
-                if deadline_s is not None and deadline_s != 30.0 else {}
-            ),
-            **(
-                {"keep_alive_ttl_s": keep_alive_ttl_s}
-                if keep_alive_ttl_s is not None else {}
-            ),
-            **(
-                {
-                    "hedge": True,
-                    "hedge_percentile": runtime.hedging.config.percentile,
-                }
-                if runtime.hedging is not None else {}
-            ),
-            **(
-                {"hedge_budget": hedge_budget}
-                if hedge_budget is not None else {}
-            ),
-            **({"overload": True} if runtime.overload is not None else {}),
-            **(
-                {"zipf_s": skew}
-                if scenario == "zipf" or runtime.reuse is not None else {}
-            ),
-            **(
-                {
-                    "reuse": True,
-                    "cache_mb": runtime.reuse.config.capacity_mb,
-                }
-                if runtime.reuse is not None else {}
-            ),
-            **(
-                {"keepalive_policy": keepalive_policy}
-                if keepalive_policy != "ttl" else {}
-            ),
-            **({"concurrency": concurrency} if mode == "closed" else {}),
-            **(
-                {
-                    "fanout": True,
-                    "fanout_gather": fanout_gather,
-                    **({"tasks": tasks} if tasks is not None else {}),
-                }
-                if runtime.fanout is not None else {}
-            ),
-        },
+        params={key: value for key, value in params.items()
+                if value is not None},
         wall_s=wall_s,
         frontend=frontend,
         elapsed_s=driver.elapsed_s,

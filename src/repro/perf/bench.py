@@ -12,22 +12,13 @@ The scenarios cover the hot paths the kernel fast-path work targets:
   sandbox and XPU-Shim.  Headline metric: **invocations/sec**.
 * ``coldstart_storm`` — a concurrent-miss storm under DRAM pressure,
   with and without the warm-path engine.
-* ``loadgen_replay`` — the composite system: the golden 2-shard burst
-  load trace replayed open-loop through gateway shards, scheduler,
-  sandboxes and XPU-Shim, once on the batched kernel and once on the
-  pre-batch reference loop.  Headline metric: **events/sec** (batched),
-  with the reference rate and the speedup recorded alongside.
-* ``fanout_sweep`` — partition-task throughput through the fan-out
-  engine (repro.futures), gather-on vs. gather-off.  Headline metric:
-  **fanout tasks/sec**.
-* ``reuse_sweep`` — the result cache's hit-rate/latency crossover:
-  seeded ``zipf`` runs across input skews, cache on vs. off
-  (repro.reuse).  Headline metric: **answered requests/sec** over the
-  sweep.
 * ``startup_replay`` — wall-clock replays of the paper's Fig. 10
   startup experiment (CPU/DPU cfork vs. baseline plus the FPGA
   configurations), the heaviest single experiment in the suite.
   Headline metric: **replays/sec**.
+
+End-to-end replays of ``repro load`` workloads are measured by the
+repository's benchmark harness in ``perfbench/``, not here.
 
 Every scenario reports wall seconds per stage so a regression can be
 localised without a profiler, and the kernel-centric scenarios attach a
@@ -310,215 +301,6 @@ def _bench_coldstart_storm(quick: bool) -> BenchResult:
     )
 
 
-#: Sizing for the ``loadgen_replay`` scenario, mirroring the golden
-#: 2-shard trace recipe (tests/loadgen/data): a seeded bursty plan
-#: replayed open-loop through two gateway shards.
-REPLAY_SEED = 1234
-REPLAY_SHARDS = 2
-
-
-def _bench_loadgen_replay(quick: bool) -> BenchResult:
-    """The composite-system benchmark: a golden-recipe load trace
-    through the whole stack, batched kernel vs. the pre-batch loop.
-
-    Everything PR 1-7 built — sharded gateways, scheduler, sandboxes,
-    XPU-Shim, observability spans — runs on the sim kernel, so this is
-    the number that says what the batching is worth end to end, not
-    just on the microbench.  Both runs replay the *same* seeded plan
-    and produce the same trace (asserted in tests); only the drain
-    strategy differs.
-    """
-    from repro.loadgen import OpenLoopDriver, build_runtime
-    from repro.loadgen.scenarios import _SCENARIOS
-
-    rps, duration_s = (40.0, 3.0) if quick else (120.0, 20.0)
-    repeats = 3 if quick else 15
-
-    from repro.sim.rng import SeededRng
-
-    plan = _SCENARIOS["burst"](
-        SeededRng(REPLAY_SEED).fork("loadgen:burst"), rps, duration_s
-    )
-
-    def replay(batched: bool):
-        import gc
-
-        runtime, frontend = build_runtime(
-            plan, seed=REPLAY_SEED, shards=REPLAY_SHARDS, batched=batched
-        )
-        # Collector pauses land arbitrarily inside a ~100 ms replay and
-        # dominate run-to-run variance (pyperf disables GC for the same
-        # reason); both drain strategies are timed under the same rule.
-        gc.collect()
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            records = OpenLoopDriver(runtime, plan, frontend).run()
-            wall = time.perf_counter() - t0
-        finally:
-            gc.enable()
-        answered = sum(1 for r in records if r.answered)
-        return wall, runtime.sim, answered
-
-    # The replay is short (tens of ms), so single runs are dominated by
-    # scheduler noise; interleaved best-of-N isolates the deterministic
-    # cost, and the headline speedup is the *median of paired ratios*
-    # (each iteration times both modes back to back, alternating order)
-    # so slow drift in background load cancels out of the comparison.
-    replay(batched=False)  # warm-up: imports, first-touch allocations
-    replay(batched=True)
-    reference_s = batched_s = float("inf")
-    sim = answered = None
-    ratios: list[float] = []
-    for i in range(repeats):
-        if i % 2 == 0:
-            ref_wall = replay(batched=False)[0]
-            wall, run_sim, run_answered = replay(batched=True)
-        else:
-            wall, run_sim, run_answered = replay(batched=True)
-            ref_wall = replay(batched=False)[0]
-        ratios.append(ref_wall / wall)
-        reference_s = min(reference_s, ref_wall)
-        if wall < batched_s:
-            batched_s, sim, answered = wall, run_sim, run_answered
-    ratios.sort()
-    speedup = ratios[len(ratios) // 2]
-
-    events = sim.processed_count
-    wall = reference_s + batched_s
-    return BenchResult(
-        name="loadgen_replay",
-        wall_s=wall,
-        profile=sim.kernel_profile(),
-        metrics={
-            "events_per_sec": events / batched_s if batched_s > 0 else 0.0,
-            "reference_events_per_sec": (
-                events / reference_s if reference_s > 0 else 0.0
-            ),
-            "events": float(events),
-            "invocations": float(len(plan)),
-            "answered": float(answered),
-            "speedup_vs_reference": speedup,
-        },
-        stages={
-            "batched_replay_s": batched_s,
-            "reference_replay_s": reference_s,
-        },
-        params={
-            "seed": REPLAY_SEED,
-            "shards": REPLAY_SHARDS,
-            "rps": rps,
-            "duration_s": duration_s,
-        },
-    )
-
-
-def _bench_fanout_sweep(quick: bool) -> BenchResult:
-    """Partition-task throughput through the fan-out engine.
-
-    One seeded ``fanout`` load run per gather mode: straggler-aware
-    gather armed (the default) and disarmed.  The headline rate is
-    wall-clock partition tasks/sec with gather on; the simulated
-    gather-stage p99 for both modes rides along so a regression in the
-    speculation path (slower sweeps, lost wakeups) shows up as a
-    latency delta even when wall throughput is unchanged.
-    """
-    from repro.loadgen.scenarios import run_load
-
-    tasks = 256 if quick else 2_048
-
-    def sweep(gather: bool):
-        t0 = time.perf_counter()
-        report = run_load(
-            "fanout", seed=REPLAY_SEED, quick=quick, tasks=tasks,
-            shards=REPLAY_SHARDS, fanout_gather=gather,
-        )
-        wall = time.perf_counter() - t0
-        return wall, report["fanout"]
-
-    on_s, on = sweep(True)
-    off_s, off = sweep(False)
-    wall = on_s + off_s
-    return BenchResult(
-        name="fanout_sweep",
-        wall_s=wall,
-        metrics={
-            "fanout_tasks_per_sec": (
-                on["tasks_done"] / on_s if on_s > 0 else 0.0
-            ),
-            "tasks": float(on["tasks_done"]),
-            "jobs": float(on["jobs"]),
-            "speculations": float(on["speculations"]),
-            "gather_p99_ms": on["stages"]["gather"]["p99_ms"],
-            "gather_off_p99_ms": off["stages"]["gather"]["p99_ms"],
-        },
-        stages={
-            "gather_on_s": on_s,
-            "gather_off_s": off_s,
-        },
-        params={
-            "seed": REPLAY_SEED,
-            "shards": REPLAY_SHARDS,
-            "tasks": tasks,
-        },
-    )
-
-
-def _bench_reuse_sweep(quick: bool) -> BenchResult:
-    """Result-cache hit-rate/latency crossover across Zipf skews.
-
-    One seeded ``zipf`` load run per (skew, cache on/off) pair.  As the
-    input-popularity skew rises the cache-on hit rate climbs and its
-    answered-p99 falls away from the cache-off run — the crossover the
-    computation-reuse engine (repro.reuse) exists for, with the
-    checked-in BENCH_load_cache.json pinning the s=1.1 point.  The
-    headline rate is wall-clock answered requests/sec summed over the
-    whole sweep, so a slow cache path (lookup overhead, single-flight
-    bookkeeping) shows up even where simulated latency is unchanged.
-    """
-    from repro.loadgen.scenarios import run_load
-
-    skews = (0.7, 1.1) if quick else (0.5, 0.7, 0.9, 1.1, 1.4)
-    metrics: dict[str, float] = {}
-    stages: dict[str, float] = {}
-    answered_total = 0
-    t_all = time.perf_counter()
-    for skew in skews:
-        tag = f"s{int(round(skew * 100)):03d}"
-        for reuse in (False, True):
-            mode = "on" if reuse else "off"
-            t0 = time.perf_counter()
-            report = run_load(
-                "zipf", seed=REPLAY_SEED, quick=quick,
-                shards=REPLAY_SHARDS, zipf_s=skew, reuse=reuse,
-            )
-            stages[f"{tag}_{mode}_s"] = time.perf_counter() - t0
-            metrics[f"{tag}_{mode}_p99_ms"] = (
-                report["latency"]["end_to_end"]["p99_ms"]
-            )
-            metrics[f"{tag}_{mode}_answered"] = float(
-                report["load"]["answered"]
-            )
-            answered_total += report["load"]["answered"]
-            if reuse:
-                metrics[f"{tag}_hit_rate"] = report["reuse"]["hit_rate"]
-    wall = time.perf_counter() - t_all
-    metrics["reuse_answered_per_sec"] = (
-        answered_total / wall if wall > 0 else 0.0
-    )
-    return BenchResult(
-        name="reuse_sweep",
-        wall_s=wall,
-        metrics=metrics,
-        stages=stages,
-        params={
-            "seed": REPLAY_SEED,
-            "shards": REPLAY_SHARDS,
-            "skews": list(skews),
-        },
-    )
-
-
 def _bench_startup_replay(quick: bool) -> BenchResult:
     from repro.analysis import experiments as ex
 
@@ -555,9 +337,6 @@ SCENARIOS: dict[str, Callable[[bool], BenchResult]] = {
     "kernel_microbench": _bench_kernel,
     "invocation_sweep": _bench_invocations,
     "coldstart_storm": _bench_coldstart_storm,
-    "loadgen_replay": _bench_loadgen_replay,
-    "fanout_sweep": _bench_fanout_sweep,
-    "reuse_sweep": _bench_reuse_sweep,
     "startup_replay": _bench_startup_replay,
 }
 

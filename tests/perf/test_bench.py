@@ -14,10 +14,7 @@ def test_scenario_registry_names():
         "kernel_microbench",
         "invocation_sweep",
         "coldstart_storm",
-        "loadgen_replay",
-        "fanout_sweep",
         "startup_replay",
-        "reuse_sweep",
     }
 
 
@@ -49,36 +46,6 @@ def test_coldstart_storm_coalesces_into_fewer_sandboxes():
     assert metrics["cold_engine_on"] < metrics["cold_engine_off"] + (
         metrics["coalesced_engine_on"]
     )
-
-
-def test_loadgen_replay_times_batched_against_reference():
-    report = perf.run_benchmarks(quick=True, scenarios=["loadgen_replay"])
-    scenario = report["scenarios"]["loadgen_replay"]
-    metrics = scenario["metrics"]
-    # Both kernels replayed the same seeded plan to completion.
-    assert metrics["events"] > 0
-    assert metrics["answered"] > 0
-    assert metrics["events_per_sec"] > 0
-    assert metrics["reference_events_per_sec"] > 0
-    assert metrics["speedup_vs_reference"] > 0
-    assert scenario["stages"]["batched_replay_s"] > 0
-    assert scenario["stages"]["reference_replay_s"] > 0
-    # Params pin the golden-recipe sizing compare_reports matches on.
-    assert scenario["params"]["seed"] == perf.bench.REPLAY_SEED
-    assert scenario["params"]["shards"] == perf.bench.REPLAY_SHARDS
-
-
-def test_fanout_sweep_runs_both_gather_modes():
-    report = perf.run_benchmarks(quick=True, scenarios=["fanout_sweep"])
-    scenario = report["scenarios"]["fanout_sweep"]
-    metrics = scenario["metrics"]
-    assert metrics["tasks"] == scenario["params"]["tasks"]
-    assert metrics["fanout_tasks_per_sec"] > 0
-    assert metrics["gather_p99_ms"] > 0
-    assert metrics["gather_off_p99_ms"] > 0
-    assert scenario["stages"]["gather_on_s"] > 0
-    assert scenario["stages"]["gather_off_s"] > 0
-    assert scenario["params"]["seed"] == perf.bench.REPLAY_SEED
 
 
 def test_run_benchmarks_profile_attaches_kernel_snapshots():

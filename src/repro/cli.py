@@ -7,7 +7,7 @@ Usage::
     python -m repro run all             # run everything
     python -m repro report              # emit EXPERIMENTS.md to stdout
     python -m repro metrics              # demo run + metrics exposition
-    python -m repro faults --check       # fault scenarios, zero-lost gate
+    python -m repro faults --check       # fault scenarios, fate-ledger gate
 """
 
 from __future__ import annotations
@@ -343,6 +343,7 @@ def _print_faults(args) -> int:
     import json
 
     from repro.analysis.report import format_reliability, format_table
+    from repro.errors import FateImbalance
     from repro.faults import FaultPlan, run_scenario, scenario_names
 
     names = args.scenarios or scenario_names()
@@ -355,10 +356,14 @@ def _print_faults(args) -> int:
     if args.plan:
         with open(args.plan, encoding="utf-8") as handle:
             plan = FaultPlan.from_json(handle.read())
-    lost_total = 0
+    unbalanced = 0
     for name in names:
-        summary = run_scenario(name, seed=args.seed, plan=plan)
-        lost_total += summary["lost"]
+        try:
+            summary = run_scenario(name, seed=args.seed, plan=plan)
+        except FateImbalance as exc:
+            print(f"{name}: {exc}", file=sys.stderr)
+            unbalanced += 1
+            continue
         if args.json:
             summary.pop("snapshot")
             print(json.dumps(summary, indent=2, sort_keys=True, default=str))
@@ -377,8 +382,8 @@ def _print_faults(args) -> int:
         print()
         print(format_reliability(summary["snapshot"]))
         print()
-    if args.check and lost_total:
-        print(f"LOST REQUESTS: {lost_total}", file=sys.stderr)
+    if args.check and unbalanced:
+        print(f"UNBALANCED FATES in {unbalanced} scenario(s)", file=sys.stderr)
         return 1
     return 0
 
@@ -508,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--json", action="store_true",
                         help="emit JSON summaries instead of tables")
     faults.add_argument("--check", action="store_true",
-                        help="exit 1 if any request is lost "
-                             "(neither answered nor dead-lettered)")
+                        help="exit 1 if any scenario's request fates do "
+                             "not balance")
     perf = sub.add_parser(
         "perf",
         help="wall-clock benchmarks of the simulator's hot paths",

@@ -236,11 +236,17 @@ class Invoker:
             if self.obs is not None
             else NULL_TRACE
         )
-        request_id = None
+        fates = self.runtime.fates
+        request = None
         try:
             admit_span = trace.begin_phase("admit")
             request_id = yield from gateway.admit(deadline_s=deadline_s)
             admitted_s = sim._now
+            request = Attempt(
+                function, request_id, kind, pu, force_cold, payload_bytes,
+                exec_time_s, start, trace,
+            )
+            fates.admitted += 1
             trace.end_phase(admit_span)
             trace.annotate(request_id=request_id)
             if self.engine is not None:
@@ -248,10 +254,6 @@ class Invoker:
                 # gateway: admission listeners only see a count, and
                 # the predictor needs the function identity.
                 self.engine.on_admission(function, kind)
-            request = Attempt(
-                function, request_id, kind, pu, force_cold, payload_bytes,
-                exec_time_s, start, trace,
-            )
             stage = self._invoke_with_retries(
                 request, max_attempts or self.retry_policy.max_attempts,
                 gateway, hedger,
@@ -267,14 +269,18 @@ class Invoker:
             result = yield from stage
         except RequestShed as exc:
             trace.shed(exc.reason)
+            fates.settle_shed(request, exc)
             raise
         except Exception as exc:
             trace.fail(type(exc).__name__)
+            if request is not None:
+                fates.settle_dead(request, exc)
             raise
         finally:
-            if request_id is not None:
+            if request is not None:
                 gateway.release(request_id)
         result.admitted_s = admitted_s
+        fates.settle_answered(request, result)
         trace.finish()
         if hedger is not None and not result.cache:
             # Feed the latency tracker: successful completions are what

@@ -39,6 +39,7 @@ from repro.core.registry import FunctionDef, FunctionRegistry
 from repro.core.reliability import (
     BREAKER_STATE_VALUE,
     DeadLetterQueue,
+    FateLedger,
     HealthRegistry,
     RetryPolicy,
 )
@@ -146,6 +147,8 @@ class MoleculeRuntime:
         self.rng = SeededRng(seed if seed is not None else config.default_seed())
         self.retry_policy = retry_policy or RetryPolicy()
         self.dead_letters = DeadLetterQueue(obs=self.obs)
+        #: One fate per admitted request (settled by the invoker).
+        self.fates = FateLedger()
         self.health = HealthRegistry(self.sim, obs=self.obs)
         self.gateway = ApiGateway(
             self.sim, obs=self.obs, default_deadline_s=default_deadline_s
@@ -475,6 +478,22 @@ class MoleculeRuntime:
         for kind, entry in profile["slab"].items():
             kernel.slab_hit_rate.child(kind).set(entry["hit_rate"])
 
+    @property
+    def requests_admitted(self) -> int:
+        """Admissions at the default gateway and every frontend shard."""
+        admitted = self.gateway.requests_admitted
+        if self.frontend is not None:
+            admitted += self.frontend.requests_admitted
+        return admitted
+
+    def check_fates(self) -> None:
+        """Raise :class:`~repro.errors.FateImbalance` unless every
+        admitted request settled exactly once, in agreement with the
+        gateways, the dead-letter queue and the result cache."""
+        self.fates.check(
+            self.requests_admitted, self.dead_letters.total, self.reuse
+        )
+
     def metrics_snapshot(self, include_kernel: bool = False) -> dict:
         """A JSON-friendly dump of every metric family, gauges freshly
         sampled, plus summary counters tests and reports key on.
@@ -486,12 +505,9 @@ class MoleculeRuntime:
         self._refresh_gauges()
         if include_kernel:
             self._publish_kernel_profile()
-        admitted = self.gateway.requests_admitted
-        if self.frontend is not None:
-            admitted += self.frontend.requests_admitted
         return {
             "sim_time_s": self.sim.now,
-            "requests_admitted": admitted,
+            "requests_admitted": self.requests_admitted,
             "cold_invocations": self.invoker.cold_invocations,
             "warm_invocations": self.invoker.warm_invocations,
             "dead_letters": len(self.dead_letters),

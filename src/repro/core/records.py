@@ -78,6 +78,9 @@ class InvocationResult:
     #: "" for executed answers; "fresh" or "stale" when this request
     #: was answered from the result cache (repro.reuse).
     cache: str = ""
+    #: Why the cache answered it: "fresh", "singleflight", "pressure",
+    #: "deadline" or "shed" (in place of the gate's shed); "" if executed.
+    cache_reason: str = ""
 
     @property
     def total_ms(self) -> float:
@@ -121,6 +124,9 @@ class Attempt:
     #: crash epoch then (the crash check compares against it).
     placed: Optional[ProcessingUnit] = None
     epoch: object = None
+    #: The request's settled fate (see repro.core.reliability.FateLedger):
+    #: "answered", "shed" or "dead"; "" while in flight.
+    fate: str = ""
 
     def copy(self, kind, pu, trace, hedge=None, tag: str = "") -> "Attempt":
         """A fresh attempt of the same request (nothing placed yet)."""

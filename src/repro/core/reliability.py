@@ -1,4 +1,5 @@
-"""The reliability layer: retry policy, circuit breakers, dead letters.
+"""The reliability layer: retry policy, circuit breakers, dead letters
+and the fate ledger.
 
 Molecule spans loosely coupled PUs — DPUs running their own OS behind
 RDMA, FPGAs behind DMA — exactly the setting where partial failure is
@@ -12,9 +13,9 @@ use to survive it:
   up/down state driven by injected crashes; the scheduler excludes
   unavailable PUs from placement candidates;
 * :class:`DeadLetterQueue` — requests exhausted of retries land here
-  rather than vanishing, preserving the invariant that every admitted
-  request is either answered or dead-lettered (never both, never
-  neither).
+  rather than vanishing;
+* :class:`FateLedger` — every admitted request settles exactly once,
+  as answered, shed or dead.
 """
 
 from __future__ import annotations
@@ -25,12 +26,18 @@ from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 from repro import config
+from repro.errors import (
+    DeadlineExceeded, FateImbalance, RetriesExhaustedError,
+)
 from repro.obs.metrics import MetricSpec
 from repro.sim.rng import SeededRng
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.records import Attempt
+    from repro.errors import RequestShed
     from repro.hardware.pu import ProcessingUnit
     from repro.obs import Observability
+    from repro.reuse.engine import ReuseEngine
 
 
 @dataclass(frozen=True)
@@ -387,3 +394,95 @@ class DeadLetterQueue:
         """Total requests ever dead-lettered (invariant accounting;
         equals the retained count while unbounded or under capacity)."""
         return self.total
+
+
+#: The dead-letter reason of each terminal exception ("error" otherwise).
+_DEAD_REASONS = {
+    DeadlineExceeded: "deadline", RetriesExhaustedError: "retries_exhausted",
+}
+
+
+class FateLedger:
+    """Exactly one fate per admitted request, counted by sub-reason.
+
+    :meth:`repro.core.invoker.Invoker.invoke` is the only writer: it
+    admits a request once the gateway returns its id and settles it
+    once where the stage chain ends.  Only counts are kept, plus the
+    request's ``Attempt.fate``, so memory stays constant in run length.
+    A second settlement raises at once and stays counted, so
+    :meth:`check` fails even where a caller swallows the error.
+    """
+
+    def __init__(self):
+        self.admitted = 0
+        self.answered: dict[str, int] = {}
+        self.shed: dict[str, int] = {}
+        self.dead: dict[str, int] = {}
+        #: Sheds by the shard label of the gate that shed them.
+        self.shed_by_gate: dict[str, int] = {}
+        #: Answers the result cache gave in place of a gate's shed.
+        self.downgraded = 0
+
+    def _settle(self, request: "Attempt", fate: str, tally: dict,
+                reason) -> None:
+        tally[reason] = tally.get(reason, 0) + 1
+        if request.fate:
+            raise FateImbalance(f"request {request.request_id} settled "
+                                f"twice: {request.fate}, then {fate}")
+        request.fate = fate
+
+    def settle_answered(self, request: "Attempt", result) -> None:
+        reason = "hedged" if result.hedged else result.cache or "executed"
+        self._settle(request, "answered", self.answered, reason)
+        if result.cache_reason == "shed":
+            self.downgraded += 1
+
+    def settle_shed(self, request: "Attempt", shed: "RequestShed") -> None:
+        self._settle(request, "shed", self.shed, shed.reason)
+        self.shed_by_gate[shed.gate] = self.shed_by_gate.get(shed.gate, 0) + 1
+
+    def settle_dead(self, request: "Attempt", exc: Exception) -> None:
+        reason = _DEAD_REASONS.get(type(exc), "error")
+        self._settle(request, "dead", self.dead, reason)
+
+    @property
+    def in_flight(self) -> int:
+        """Admitted requests not settled (yet)."""
+        settled = (self.answered, self.shed, self.dead)
+        return self.admitted - sum(sum(t.values()) for t in settled)
+
+    def check(self, admitted: int, dead: int,
+              reuse: Optional["ReuseEngine"] = None) -> None:
+        """Raise :class:`~repro.errors.FateImbalance` unless every admitted
+        request settled and the ledger agrees with the gateways'
+        ``admitted``, the dead-letter total ``dead`` and, with the
+        result cache armed, its fresh, stale and executed answers."""
+        found = []
+        if self.admitted != admitted:
+            found.append(f"{self.admitted} admitted, but the gateways "
+                         f"admitted {admitted}")
+        if sum(self.dead.values()) != dead:
+            found.append(f"{sum(self.dead.values())} dead, but {dead} "
+                         "dead-lettered")
+        if self.in_flight:
+            found.append(f"{self.in_flight} requests in flight")
+        if reuse is not None:
+            get = self.answered.get
+            ours = (get("fresh", 0), get("stale", 0),
+                    get("executed", 0) + get("hedged", 0))
+            theirs = (reuse.served_fresh, reuse.served_stale, reuse.executed)
+            if ours != theirs:
+                found.append(f"fresh/stale/executed answers {ours}, but "
+                             f"the result cache counted {theirs}")
+        if found:
+            raise FateImbalance("request fates do not balance: "
+                                + "; ".join(found))
+
+    def snapshot(self) -> dict:
+        """The ``fates`` block of a run report."""
+        return {
+            "admitted": self.admitted,
+            **{fate: dict(sorted(getattr(self, fate).items()))
+               for fate in ("answered", "shed", "dead")},
+            "in_flight": self.in_flight,
+        }

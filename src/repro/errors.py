@@ -113,14 +113,22 @@ class RequestShed(ReliabilityError):
     Terminal but deliberately *cheap*: a shed request never reaches the
     retry loop and is never dead-lettered — the client is expected to
     back off and resubmit against a less-loaded ingress.  ``reason`` is
-    one of ``"queue_full"``, ``"predicted_wait"`` or ``"deadline"``.
+    one of ``"queue_full"``, ``"predicted_wait"`` or ``"deadline"``;
+    ``gate`` is the shard label of the admission gate that shed it.
     """
 
     def __init__(self, message: str, reason: str = "queue_full",
-                 request_id=None):
+                 request_id=None, gate=None):
         super().__init__(message)
         self.reason = reason
         self.request_id = request_id
+        self.gate = gate
+
+
+class FateImbalance(ReliabilityError):
+    """A run's request fates do not balance: the fate ledger disagrees
+    with the gateways' admissions, the dead-letter queue or the result
+    cache's answer classes, or some admitted request never settled."""
 
 
 class FanoutPartialFailure(ReliabilityError):

@@ -1,10 +1,11 @@
 """Canned fault scenarios for the ``repro faults`` CLI and CI smoke.
 
 Each scenario builds a small deployment, installs a fault plan, drives
-a fixed workload, and returns a JSON-friendly summary with zero-lost
-accounting: every submitted request must be either answered or
-dead-lettered.  All scenarios are deterministic — the same seed
-produces a byte-identical metrics snapshot.
+a fixed workload, and returns a JSON-friendly summary.  Every admitted
+request must settle exactly once, answered or dead-lettered: the run
+raises :class:`~repro.errors.FateImbalance` when the runtime's fate
+ledger does not balance.  All scenarios are deterministic — the same
+seed produces a byte-identical metrics snapshot.
 """
 
 from __future__ import annotations
@@ -105,10 +106,8 @@ def _drive(name: str, seed: int, runtime: MoleculeRuntime, jobs: list[dict]) -> 
     for index, job in enumerate(jobs):
         runtime.sim.spawn(submitter(dict(job)), name=f"driver-{index}")
     runtime.sim.run()
+    runtime.check_fates()
 
-    submitted = len(jobs)
-    dead = len(runtime.dead_letters)
-    lost = submitted - len(answered) - dead
     reasons: dict[str, int] = {}
     for entry in runtime.dead_letters.entries():
         reasons[entry.reason] = reasons.get(entry.reason, 0) + 1
@@ -116,10 +115,10 @@ def _drive(name: str, seed: int, runtime: MoleculeRuntime, jobs: list[dict]) -> 
     summary = {
         "scenario": name,
         "seed": seed,
-        "submitted": submitted,
+        "submitted": len(jobs),
         "answered": len(answered),
-        "dead_lettered": dead,
-        "lost": lost,
+        "dead_lettered": len(runtime.dead_letters),
+        "lost": runtime.fates.in_flight,
         "retried_requests": sum(1 for r in answered if r.retried),
         "degraded_requests": sum(1 for r in answered if r.degraded),
         "terminal_errors": sorted(failures),

@@ -257,7 +257,7 @@ class FanoutEngine:
         self.tasks_shed = 0
         self.tasks_error = 0
         #: Stage requests (partition / reduce) by fate; they admit at
-        #: the frontend like any request, so conservation needs them.
+        #: the frontend like any request.
         self.stage_ok = 0
         self.stage_shed = 0
         self.stage_error = 0
@@ -553,27 +553,17 @@ class FanoutEngine:
             done=done, shed=shed, failed=failed, errors=errors,
         )
 
-    # -- invariants / reporting ----------------------------------------------------
+    # -- reporting ---------------------------------------------------------------
 
     def answered_requests(self) -> int:
         """Frontend-admitted requests this engine saw answered (tasks
-        plus stage requests): the ``answered`` term of the conservation
-        invariant when the load is fan-out jobs."""
+        plus stage requests): the answered count at the request level
+        when the load is fan-out jobs."""
         return self.tasks_done + self.stage_ok
 
     def shed_requests(self) -> int:
         """Frontend-admitted requests shed by the overload controller."""
         return self.tasks_shed + self.stage_shed
-
-    def conserved(self, admitted: int, dead: int) -> bool:
-        """The task-conservation invariant at the frontend:
-        ``answered + shed + dead == admitted``.  Task and stage errors
-        are dead-lettered by the invoker, so they arrive through
-        ``dead``."""
-        return (
-            self.answered_requests() + self.shed_requests() + dead
-            == admitted
-        )
 
     def snapshot(self) -> dict:
         """Lifetime accounting (stable keys, deterministic values)."""

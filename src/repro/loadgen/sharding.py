@@ -14,9 +14,10 @@ one shared scheduler/invoker, with three routing policies:
   sandbox for the function, falling back to the hash ring when no warm
   instance exists anywhere.
 
-Every shard shares one request-id stream, so machine-wide accounting
-(``answered + dead == admitted``) spans shards, and each shard keeps a
-busy-time integral for the per-shard utilization the SLO report emits.
+Every shard shares one request-id stream, so the runtime's fate ledger
+(``answered + shed + dead == admitted``) spans shards, and each shard
+keeps a busy-time integral for the per-shard utilization the SLO report
+emits.
 """
 
 from __future__ import annotations
@@ -110,8 +111,6 @@ class GatewayShard:
         self.routed = 0
         self.completed = 0
         self.failed = 0
-        #: Requests shed at this shard's admission gate (repro.overload).
-        self.shed = 0
         #: Integral of wall (sim) time with >= 1 request in flight.
         self.busy_s = 0.0
         self._busy_since: Optional[float] = None
@@ -148,9 +147,8 @@ class GatewayShard:
         A shed is deliberate back-pressure, not a shard failure: the
         breaker records nothing — a saturated shard tripping its own
         breaker open would amplify the overload it is shedding against
-        — and the count is reported apart from ``failed``.
+        — and the runtime's fate ledger counts it apart from ``failed``.
         """
-        self.shed += 1
         self.outstanding -= 1
         if self.outstanding == 0 and self._busy_since is not None:
             self.busy_s += self.sim.now - self._busy_since
@@ -326,6 +324,7 @@ class ShardedFrontend:
             elapsed_s if elapsed_s is not None else self.runtime.sim.now
         )
         overload = getattr(self.runtime, "overload", None)
+        shed = self.runtime.fates.shed_by_gate
         return [
             {
                 "shard": shard.index,
@@ -335,7 +334,8 @@ class ShardedFrontend:
                 "failed": shard.failed,
                 # Conditional so controller-off reports stay
                 # byte-identical to earlier releases.
-                **({"shed": shard.shed} if overload is not None else {}),
+                **({"shed": shed.get(str(shard.index), 0)}
+                   if overload is not None else {}),
                 "outstanding": shard.outstanding,
                 "utilization": shard.utilization(elapsed),
                 "breaker": shard.breaker.state.value,

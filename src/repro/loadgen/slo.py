@@ -9,8 +9,10 @@ numbers an operator would page on:
 * per-stage percentiles (admit/schedule/sandbox_start/exec/respond)
   from the stage samples the observability hub streams as requests
   finish;
-* goodput (answered/sec) against offered load, plus the machine-wide
-  accounting invariant ``answered + dead_lettered == admitted``;
+* goodput (answered/sec) against offered load;
+* the request fates (the ``fates`` block): every admitted request
+  settles once, so ``answered + shed + dead == admitted``, or the
+  report is refused with :class:`~repro.errors.FateImbalance`;
 * per-shard utilization (busy-time integral of the front end) and
   per-PU utilization (core busy clocks).
 
@@ -94,17 +96,9 @@ def build_report(
     dead = len(runtime.dead_letters)
     overload = getattr(runtime, "overload", None)
     fanout = getattr(runtime, "fanout", None)
-    # With the fan-out engine armed, driver records are *jobs* while
-    # the frontend admits their partition tasks and stage requests —
-    # the ``lost`` ledger must be computed at the task level or every
-    # fanned-out task would read as lost.
-    if fanout is not None:
-        lost = (
-            admitted - fanout.answered_requests() - dead
-            - fanout.shed_requests()
-        )
-    else:
-        lost = admitted - len(answered) - dead - shed
+    # Counted per request, so fanned-out tasks count rather than jobs.
+    runtime.check_fates()
+    lost = runtime.fates.in_flight
 
     # Per-stage latencies streamed by the trace sink.  Failed and shed
     # requests never record phases, so these cover answered requests.
@@ -215,7 +209,7 @@ def build_report(
                 min(1.0, overload.brownout_s() / sim_elapsed)
                 if sim_elapsed > 0 else 0.0
             ),
-            "conserved": overload.conserved(admitted, len(answered), dead),
+            "conserved": not lost,
             # The overload acceptance metric: latency among requests the
             # controller chose to answer (sheds excluded by definition).
             "goodput_answered": latency_block(
@@ -225,7 +219,7 @@ def build_report(
     if fanout is not None:
         report["fanout"] = {
             **fanout.snapshot(),
-            "conserved": fanout.conserved(admitted, dead),
+            "conserved": not lost,
             "task_latency": latency_block(fanout.task_samples),
             "stages": {
                 name: latency_block(samples)
@@ -242,12 +236,7 @@ def build_report(
             "answered_from_cache": cached,
             "answered_stale": stale_served,
             "cache_answer_rate": cached / len(answered) if answered else 0.0,
-            # Extended conservation: every answered request is exactly
-            # one of fresh-hit, stale-hit, or executed (and the
-            # three-fate ``answered + shed + dead == admitted`` ledger
-            # above still holds with shed-to-stale downgrades
-            # un-counted on the shed side).
-            "conserved": reuse.conserved(len(answered)),
+            "conserved": not lost,
             "latency_cached": latency_block(
                 [r.latency_s for r in answered if r.cache]
             ),
@@ -255,6 +244,7 @@ def build_report(
                 [r.latency_s for r in answered if not r.cache]
             ),
         }
+    report["fates"] = runtime.fates.snapshot()
     return report
 
 
@@ -276,6 +266,7 @@ def format_report(report: dict) -> str:
         f"({load['goodput_ratio']:.1%}) in {load['sim_elapsed_s']:.1f}s sim "
         f"/ {report['wall_s']:.2f}s wall",
     ]
+    lines.append(f"  fates: {report['fates']}")
     e2e = report["latency"]["end_to_end"]
     if e2e.get("count"):
         lines.append(

@@ -156,12 +156,15 @@ def hard_failures(report: dict) -> list[str]:
         for name, section in report.items()
         if isinstance(section, dict) and section.get("conserved") is False
     )
+    fates = report["fates"]
+    settled = sum(
+        sum(fates[fate].values()) for fate in ("answered", "shed", "dead")
+    )
+    if settled != fates["admitted"]:
+        failures.append(f"three-fate conservation violated ({settled} of "
+                        f"{fates['admitted']} admitted requests settled)")
     reuse = report.get("reuse")
     if reuse is not None:
-        if (load["answered"] + load.get("shed", 0) + load["dead_lettered"]
-                != load["admitted"]):
-            failures.append("three-fate conservation violated "
-                            "(answered + shed + dead != admitted)")
         unreasoned = reuse["served_stale"] - sum(
             reuse["stale_by_reason"].values()
         )

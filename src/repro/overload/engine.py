@@ -17,8 +17,9 @@ the three classic defenses as one optional controller:
   :class:`~repro.errors.RequestShed` outcome (never retried, never
   dead-lettered) when the admission queue is full, when its estimated
   queue wait already exceeds its remaining deadline budget, or when the
-  budget actually drains while it is parked.  Shedding preserves the
-  conservation invariant ``answered + shed + dead == admitted``.
+  budget actually drains while it is parked.  Sheds are counted where
+  every fate is, in the runtime's
+  :class:`~repro.core.reliability.FateLedger`.
 
 * **Brownout degradation** — a pressure signal (worst shard's
   queue-fill x limit-utilization) with on/off hysteresis.  While the
@@ -185,7 +186,6 @@ class AdmissionGate:
         self.arrived = 0
         self.admitted = 0
         self.bypassed = 0
-        self.shed = 0
         self.queued = 0
         self.max_queue_depth = 0
         self.queue_wait_s = 0.0
@@ -318,7 +318,8 @@ class AdmissionGate:
             "arrived": self.arrived,
             "admitted": self.admitted,
             "bypassed": self.bypassed,
-            "shed": self.shed,
+            "shed": self.controller.runtime.fates.shed_by_gate.get(
+                self.label, 0),
             "queued": self.queued,
             "max_queue_depth": self.max_queue_depth,
             "queue_wait_s": round(self.queue_wait_s, 9),
@@ -379,15 +380,11 @@ class OverloadController:
         self.config = config or OverloadConfig()
         self._gates: dict[int, AdmissionGate] = {}
         self._gate_list: list[AdmissionGate] = []
-        self.shed_total = 0
-        self.shed_by_reason: dict[str, int] = {}
+        #: Every shed raised, including those the result cache went on
+        #: to answer (repro.reuse shed-to-stale).
         self.shed_log: deque[dict] = deque(
             maxlen=self.config.shed_log_capacity
         )
-        #: Sheds downgraded to stale cache answers (repro.reuse); these
-        #: were un-counted from ``shed_total`` because the request was
-        #: answered after all.
-        self.sheds_downgraded = 0
         self.brownout_active = False
         self.brownout_entries = 0
         self._brownout_s = 0.0
@@ -477,10 +474,8 @@ class OverloadController:
 
     def shed_request(self, gate: AdmissionGate, function, request_id: int,
                      reason: str, waited_s: float):
-        """Account one shed and raise :class:`RequestShed`."""
-        gate.shed += 1
-        self.shed_total += 1
-        self.shed_by_reason[reason] = self.shed_by_reason.get(reason, 0) + 1
+        """Log one shed and raise :class:`RequestShed`; the request's
+        fate is counted where it settles, in the runtime's fate ledger."""
         self.shed_log.append({
             "request_id": request_id,
             "function": function.name,
@@ -496,26 +491,8 @@ class OverloadController:
             f"admission ({reason})",
             reason=reason,
             request_id=request_id,
+            gate=gate.label,
         )
-
-    def rescind_shed(self, gateway, reason: str) -> None:
-        """Un-count the shed just raised for a request the result cache
-        (repro.reuse) downgraded to a stale answer.
-
-        The request ends up in the *answered* column, so leaving the
-        shed counted would double-book it and break the conservation
-        invariant.  The shed-log record stays (marked ``downgraded``)
-        for forensics.
-        """
-        gate = self.gate_for(gateway)
-        gate.shed -= 1
-        self.shed_total -= 1
-        self.shed_by_reason[reason] = self.shed_by_reason.get(reason, 1) - 1
-        if not self.shed_by_reason[reason]:
-            del self.shed_by_reason[reason]
-        if self.shed_log:
-            self.shed_log[-1]["downgraded"] = True
-        self.sheds_downgraded += 1
 
     # -- brownout --------------------------------------------------------------------
 
@@ -599,18 +576,15 @@ class OverloadController:
             return True
         return False
 
-    # -- invariants & reporting --------------------------------------------------------
-
-    def conserved(self, admitted: int, answered: int, dead: int) -> bool:
-        """The conservation invariant: answered + shed + dead == admitted."""
-        return answered + self.shed_total + dead == admitted
+    # -- reporting -------------------------------------------------------------------
 
     def snapshot(self) -> dict:
         """Deterministic lifetime accounting for the SLO report."""
+        fates = self.runtime.fates
         return {
-            "shed": self.shed_total,
-            "shed_by_reason": dict(sorted(self.shed_by_reason.items())),
-            "sheds_downgraded": self.sheds_downgraded,
+            "shed": sum(fates.shed.values()),
+            "shed_by_reason": dict(sorted(fates.shed.items())),
+            "sheds_downgraded": fates.downgraded,
             "brownout_active": self.brownout_active,
             "brownout_entries": self.brownout_entries,
             "brownout_s": round(self.brownout_s(), 9),

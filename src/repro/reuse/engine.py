@@ -1,5 +1,5 @@
-"""The computation-reuse engine: cache consult, staleness policy,
-single-flight leadership, and the conservation extension.
+"""The computation-reuse engine: cache consult, staleness policy and
+single-flight leadership.
 
 Its :meth:`ReuseEngine.cache_stage` is the request pipeline's cache
 stage, between gateway admission and the overload controller's gate
@@ -16,10 +16,11 @@ stage (see :mod:`repro.core.invoker`):
   leader; followers park on sim events and are fanned the leader's
   entry (a dead leader wakes them empty-handed to re-elect);
 * a request the admission gate would **shed** is downgraded to a stale
-  answer when an entry exists — an old answer beats no answer — and
-  the controller un-counts the shed so the three-fate invariant
-  ``answered + shed + dead == admitted`` keeps holding, with answers
-  partitioned ``fresh + stale + executed``.
+  answer when an entry exists — an old answer beats no answer.  The
+  request settles once, as answered, in the runtime's
+  :class:`~repro.core.reliability.FateLedger`, whose end-of-run check
+  holds its ``fresh``, ``stale`` and executed answers to this engine's
+  counters.
 
 Optional like every engine here: ``MoleculeRuntime(reuse=None)`` keeps
 every code path, metric family and report byte-identical to a runtime
@@ -161,7 +162,6 @@ class ReuseEngine:
         self.misses = 0
         self.revalidations = 0
         self.stale_by_reason: dict[str, int] = {}
-        self.shed_downgrades = 0
         self.bypass_by_reason: dict[str, int] = {}
         self.metrics = None
         if runtime.obs is not None:
@@ -188,12 +188,11 @@ class ReuseEngine:
 
         This is also the one place a shed request is answered stale:
         when the gate refuses the request with :class:`RequestShed` and
-        an entry is present, an old answer beats no answer, and the
-        controller un-counts the shed so conservation holds with this
-        request in the answered column.  Either way a leader that did
-        not execute aborts its flight, so followers re-elect rather
-        than wedge (the stale entry is this request's answer, not
-        theirs).  Half-open breaker probes (``bypass``) skip the
+        an entry is present, an old answer beats no answer (the request
+        then settles as answered, never as shed).  Either way a leader
+        that did not execute aborts its flight, so followers re-elect
+        rather than wedge (the stale entry is this request's answer,
+        not theirs).  Half-open breaker probes (``bypass``) skip the
         consult: a cached answer would starve the probe and pin the
         shard's breaker open.
         """
@@ -250,13 +249,12 @@ class ReuseEngine:
                 # either finds a newer flight or becomes the new leader.
         try:
             result = yield from inner
-        except RequestShed as shed:
+        except RequestShed:
             if flight is not None:
                 self.flights.abort(flight)
             hit = self.shed_fallback(function, input_key)
             if hit is None:
                 raise
-            self.runtime.overload.rescind_shed(gateway, shed.reason)
             return self._answer(request, hit)
         except BaseException:
             if flight is not None:
@@ -309,6 +307,7 @@ class ReuseEngine:
             billed_cost=0.0,
             payload=hit.entry.payload,
             cache=freshness,
+            cache_reason=hit.reason,
         )
 
     def cacheable(self, function: "FunctionDef",
@@ -359,7 +358,6 @@ class ReuseEngine:
             return None
         if entry.generation != self.runtime.registry.generation(function.name):
             return None
-        self.shed_downgrades += 1
         return CacheHit(entry, stale=not entry.fresh(self.sim.now),
                         reason="shed")
 
@@ -424,11 +422,6 @@ class ReuseEngine:
         consults = served + self.misses
         return served / consults if consults else 0.0
 
-    def conserved(self, answered: int) -> bool:
-        """The answer partition: fresh + stale + executed == answered."""
-        return self.served_fresh + self.served_stale + self.executed \
-            == answered
-
     def snapshot(self) -> dict:
         """Deterministic lifetime accounting for the SLO report."""
         return {
@@ -443,7 +436,7 @@ class ReuseEngine:
             "hit_rate": round(self.hit_rate(), 9),
             "revalidations": self.revalidations,
             "stale_by_reason": dict(sorted(self.stale_by_reason.items())),
-            "shed_downgrades": self.shed_downgrades,
+            "shed_downgrades": self.runtime.fates.downgraded,
             "bypass_by_reason": dict(sorted(self.bypass_by_reason.items())),
             "evictions": self.cache.evictions,
             "invalidations": self.cache.invalidations,

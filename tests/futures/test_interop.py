@@ -33,6 +33,8 @@ from repro.futures import synthetic_dataset
 from repro.loadgen import run_load
 from repro.warmpath import WarmPathConfig
 
+from tests.support import settled
+
 
 def _dpu_first_function(name: str = "sq") -> FunctionDef:
     return FunctionDef(
@@ -111,9 +113,8 @@ def test_conservation_holds_at_the_frontend_under_shedding():
     runtime.sim.run()
     engine = runtime.fanout
     assert engine.tasks_shed > 0
-    assert engine.conserved(
-        frontend.requests_admitted, len(runtime.dead_letters)
-    )
+    assert settled(runtime) == engine.answered_requests()
+    assert settled(runtime, "shed") == engine.shed_requests()
 
 
 def test_fanout_scenario_composes_with_overload_control():

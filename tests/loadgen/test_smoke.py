@@ -38,6 +38,9 @@ def _sound_report():
         "overload": {"conserved": True},
         "reuse": {"conserved": True, "served_stale": 3, "answered_stale": 3,
                   "stale_by_reason": {"pressure": 2, "deadline": 1}},
+        "fates": {"admitted": 12, "answered": {"executed": 6, "stale": 3},
+                  "shed": {"queue_full": 1}, "dead": {"deadline": 2},
+                  "in_flight": 0},
     }
 
 
@@ -55,7 +58,7 @@ def _break(path, value):
     (("load", "lost"), 2, "lost 2 requests"),
     (("overload", "conserved"), False, "overload books do not balance"),
     (("reuse", "conserved"), False, "reuse books do not balance"),
-    (("load", "answered"), 8, "three-fate conservation violated"),
+    (("fates", "admitted"), 8, "three-fate conservation violated"),
     (("reuse", "stale_by_reason"), {"pressure": 2},
      "1 stale serves carry no pressure/deadline/shed reason"),
     (("reuse", "answered_stale"), 2, "driver-observed stale count"),
@@ -84,8 +87,9 @@ def test_warn_bars_fire_on_their_condition():
                            smoke.Warn("rate above bar", "load.rate",
                                       lambda on, bar: on > bar,
                                       baseline=0.5)))
-    off = {"load": {"lost": 0, "rate": 0.4}}
-    on = {"load": {"lost": 0, "rate": 0.6}}
+    fates = _sound_report()["fates"]
+    off = {"load": {"lost": 0, "rate": 0.4}, "fates": fates}
+    on = {"load": {"lost": 0, "rate": 0.6}, "fates": fates}
     errors, warnings = smoke.check(row, off, on)
     assert errors == []
     assert warnings == [

@@ -19,7 +19,7 @@ from repro.core.reliability import BreakerState
 from repro.errors import RequestShed
 from repro.loadgen import run_load
 
-from tests.support import GOLDEN_SEED, golden_seed_snapshot
+from tests.support import GOLDEN_SEED, golden_seed_snapshot, settled
 
 
 # -- engine off: stock behavior, byte for byte ------------------------------------
@@ -176,13 +176,11 @@ def test_half_open_probe_is_never_shed():
     assert gate.bypassed == 1
     # ... while the ordinary request behind it hit the full queue.
     assert ("late", "queue_full") in sheds
-    assert shard.shed == 1
+    assert runtime.fates.shed_by_gate == {"0": 1}
     # A shed is back-pressure, not a shard failure: nothing reached the
     # breaker's failure counter.
     assert shard.failed == 0
-    assert runtime.overload.conserved(
-        shard.gateway.requests_admitted, len(answered), 0
-    )
+    assert settled(runtime) == len(answered)
 
 
 def test_half_open_probe_bypasses_the_result_cache():
@@ -254,7 +252,7 @@ def test_half_open_probe_bypasses_the_result_cache():
     # The priming request plus every non-shed spawn was answered by a
     # real execution, and the partition still balances.
     answered = 1 + sum(1 for r in results.values() if r is not None)
-    assert reuse.conserved(answered)
+    assert settled(runtime) == answered
 
 
 # -- brownout effects --------------------------------------------------------------

@@ -16,6 +16,8 @@ from repro.core.reliability import DeadLetter, DeadLetterQueue
 from repro.errors import ReproError, RequestShed
 from repro.overload import AdaptiveLimit
 
+from tests.support import settled
+
 
 # -- AIMD limiter ------------------------------------------------------------------
 
@@ -138,13 +140,12 @@ def test_queue_full_sheds_at_the_backstop():
     assert sheds == ["queue_full", "queue_full"]
     assert len(answered) == 2
     gate = runtime.overload.gates()[0]
-    assert gate.shed == 2
+    assert runtime.fates.shed_by_gate == {gate.label: 2}
     assert gate.max_queue_depth == 1
-    assert runtime.overload.shed_by_reason == {"queue_full": 2}
+    assert runtime.fates.shed == {"queue_full": 2}
     # Sheds count against admission: the gateway admitted all four.
-    assert runtime.overload.conserved(
-        runtime.gateway.requests_admitted, len(answered), 0
-    )
+    assert settled(runtime) == len(answered)
+    assert runtime.gateway.requests_admitted == 4
 
 
 def test_deadline_drain_while_parked_sheds_not_dead_letters():
@@ -175,9 +176,8 @@ def test_deadline_drain_while_parked_sheds_not_dead_letters():
     assert answered == [10.0]
     # Shed, not dead-lettered: the DLQ never saw them.
     assert len(runtime.dead_letters) == 0
-    assert runtime.overload.conserved(
-        runtime.gateway.requests_admitted, len(answered), 0
-    )
+    assert settled(runtime) == len(answered)
+    assert settled(runtime, "shed") == len(sheds)
     # The in-queue sheds recorded the time they spent parked.
     waited = [entry["waited_s"] for entry in runtime.overload.shed_log]
     assert all(w > 0.0 for w in waited)

@@ -2,11 +2,14 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import perf
 from repro.cli import main
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_scenario_registry_names():
@@ -16,6 +19,14 @@ def test_scenario_registry_names():
         "coldstart_storm",
         "startup_replay",
     }
+
+
+def test_checked_in_reports_name_only_registered_scenarios():
+    """A deleted scenario must leave the checked-in baselines with it."""
+    for name in ("BENCH_perf.json", "BENCH_perf_profile.json"):
+        report = json.loads((REPO_ROOT / name).read_text())
+        scenarios = report.get("scenarios", report)
+        assert set(scenarios) <= set(perf.SCENARIOS), name
 
 
 def test_run_benchmarks_quick_populates_every_scenario():

@@ -41,6 +41,8 @@ from repro.futures import (
 )
 from repro.sim import Simulator
 
+from tests.support import settled
+
 _SIM_SETTINGS = settings(max_examples=12, deadline=None)
 
 # Crash timing in 10ms ticks after the job starts; an optional reboot
@@ -127,9 +129,8 @@ def test_every_task_reaches_exactly_one_terminal_fate(
     assert fates.count("shed") == engine.tasks_shed
     assert fates.count("error") == engine.tasks_error
     # The frontend-level balance closes even with a dead DPU.
-    assert engine.conserved(
-        runtime.gateway.requests_admitted, len(runtime.dead_letters)
-    )
+    assert settled(runtime) == engine.answered_requests()
+    assert settled(runtime, "shed") == engine.shed_requests()
 
 
 @_SIM_SETTINGS

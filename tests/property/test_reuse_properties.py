@@ -34,6 +34,8 @@ from repro.loadgen import (
 from repro.reuse import ReuseConfig
 from repro.sim.rng import SeededRng
 
+from tests.support import settled
+
 # Simulation runs are comparatively expensive; keep the example budget
 # small.  The invariants are structural, not statistical.
 _SIM_SETTINGS = settings(max_examples=15, deadline=None)
@@ -81,8 +83,8 @@ def test_reuse_conservation_over_random_zipf_workloads(
             assert record.cache == ""
 
     reuse = runtime.reuse
-    assert reuse.conserved(answered)
-    assert runtime.overload.conserved(len(plan), answered, dead)
+    assert settled(runtime) == answered
+    assert settled(runtime, "shed") == shed
     # Single-flight never strands anyone: every follower that joined
     # was either fanned an entry or requeued to re-elect.
     flights = reuse.flights
@@ -175,4 +177,7 @@ def test_leader_crash_reexecutes_instead_of_wedging_followers():
     assert flights.followers_served == 1
     assert reuse.executed == 1  # one real run for the whole cohort
     assert reuse.served_fresh == 1
-    assert reuse.conserved(answered=len(results))
+    # Each request settled once; the sabotaged one failed outside the
+    # retry loop, so it is dead without a dead letter.
+    assert runtime.fates.answered == {"executed": 1, "fresh": 1}
+    assert runtime.fates.dead == {"error": 1}

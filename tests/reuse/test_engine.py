@@ -21,7 +21,7 @@ from repro.loadgen import run_load
 from repro.reuse import ReuseConfig
 from repro.reuse.cache import result_payload
 
-from tests.support import GOLDEN_SEED
+from tests.support import GOLDEN_SEED, settled
 
 
 def _fn(name="memo", idempotent=True, exec_ms=5.0):
@@ -90,7 +90,7 @@ def test_fresh_hit_answers_without_a_sandbox():
     assert reuse.executed == 1
     assert reuse.misses == 1
     assert reuse.hit_rate() == pytest.approx(0.5)
-    assert reuse.conserved(answered=2)
+    assert settled(runtime) == 2
 
 
 def test_distinct_keys_and_functions_never_collide():
@@ -113,7 +113,7 @@ def test_non_cacheable_requests_bypass_the_consult():
     assert reuse.bypass_by_reason == {"nonidempotent": 1, "no_key": 1}
     assert len(reuse.cache) == 0
     assert reuse.executed == 2
-    assert reuse.conserved(answered=2)
+    assert settled(runtime) == 2
 
 
 # -- staleness policy --------------------------------------------------------------
@@ -146,7 +146,7 @@ def test_expired_entry_served_stale_under_pressure():
     assert runtime.reuse.stale_by_reason == {"pressure": 1}
     assert runtime.reuse.served_stale == 1
     assert runtime.reuse.revalidations == 0
-    assert runtime.reuse.conserved(answered=2)
+    assert settled(runtime) == 2
 
 
 def test_expired_entry_served_stale_when_deadline_is_hopeless():
@@ -200,7 +200,7 @@ def test_concurrent_identical_misses_execute_once():
     assert flights.followers_joined == 2
     assert flights.followers_served == 2
     assert flights.leader_failures == 0
-    assert reuse.conserved(answered=3)
+    assert settled(runtime) == 3
 
 
 # -- invalidation ------------------------------------------------------------------
@@ -242,7 +242,6 @@ def test_shed_fallback_prefers_any_present_entry():
     assert hit is not None and hit.reason == "shed" and not hit.stale
     _advance(runtime, 35.0)  # past the default 30s TTL
     assert runtime.reuse.shed_fallback(function, "k1").stale is True
-    assert runtime.reuse.shed_downgrades == 2
     # Keyless / disabled / orphaned entries really shed.
     assert runtime.reuse.shed_fallback(function, None) is None
     runtime.registry.unregister("memo")
@@ -257,7 +256,7 @@ def test_shed_to_stale_disabled_returns_nothing():
     runtime.invoke_now("memo", input_key="k1")
     function = runtime.registry.get("memo")
     assert runtime.reuse.shed_fallback(function, "k1") is None
-    assert runtime.reuse.shed_downgrades == 0
+    assert runtime.fates.downgraded == 0
 
 
 def test_chaos_run_converts_sheds_to_stale_answers():

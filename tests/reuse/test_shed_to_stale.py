@@ -3,9 +3,9 @@
 A single-flight leader revalidating an expired entry parks in the
 admission queue, its deadline budget drains, and the gate sheds it.
 The cache stage downgrades the shed to a stale answer (reason
-``shed``), the controller un-counts the shed, and the leader's flight
-is aborted so its parked followers re-elect a new leader instead of
-sharing the leader's stale answer or wedging.
+``shed``), the request settles once, as answered, and the leader's
+flight is aborted so its parked followers re-elect a new leader
+instead of sharing the leader's stale answer or wedging.
 """
 
 from repro import (
@@ -19,6 +19,8 @@ from repro import (
 )
 from repro.reuse import ReuseConfig
 from repro.reuse.cache import result_payload
+
+from tests.support import settled
 
 #: One slot per gate, room to park, no predictive shedding and a
 #: brownout that can never trigger (pressure tops out at 1.0), so only
@@ -88,16 +90,16 @@ def test_shed_leader_is_answered_stale_and_followers_reelect():
     assert leader.pu_name == "cache"
     assert leader.payload == result_payload("memo", "k")
     assert reuse.stale_by_reason == {"shed": 1}
-    assert reuse.shed_downgrades == 1
 
-    # The controller rescinded the shed: nothing stays counted shed,
-    # and the shed-log record is kept, marked downgraded.
-    assert overload.sheds_downgraded == 1
-    assert overload.shed_total == 0
-    assert overload.shed_by_reason == {}
+    # The request settled once, answered: nothing is counted shed, the
+    # downgrade is, and the gate's shed-log still records the shed.
+    fates = runtime.fates
+    assert fates.downgraded == 1
+    assert fates.shed == {}
+    assert overload.snapshot()["shed"] == 0
+    assert reuse.snapshot()["shed_downgrades"] == 1
     [record] = overload.shed_log
     assert record["reason"] == "deadline"
-    assert record.get("downgraded") is True
 
     # The leader's flight was aborted and both followers were woken to
     # re-elect: one led a new execution, the other joined it.
@@ -117,8 +119,7 @@ def test_shed_to_stale_keeps_every_conservation_law():
         1 for outcome in outcomes.values() if not isinstance(outcome, Exception)
     ) + 1  # the memoizing request
     admitted = runtime.gateway.requests_admitted
-    shed = runtime.overload.shed_total
+    shed = settled(runtime, "shed")
     dead = len(runtime.dead_letters)
     assert answered + shed + dead == admitted == 5
-    assert runtime.overload.conserved(admitted, answered, dead)
-    assert runtime.reuse.conserved(answered)
+    assert settled(runtime) == answered

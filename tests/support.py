@@ -91,3 +91,10 @@ def build_testbed(num_dpus: int = 1, dpu_model: str = "bf1", full: bool = False)
         if not pu.is_general_purpose:
             cluster.install_virtual(pu, host_shim)
     return Testbed(sim, machine, cluster, oses)
+
+
+def settled(runtime, fate: str = "answered") -> int:
+    """How many requests ``runtime`` settled as ``fate``, once its fate
+    ledger has passed the end-of-run check."""
+    runtime.check_fates()
+    return sum(getattr(runtime.fates, fate).values())

@@ -66,6 +66,10 @@ from repro.sandbox.base import SandboxState
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.molecule import MoleculeRuntime
 
+#: Keep-alive reaper tick period (sim seconds) while a pool-wide TTL is
+#: set.
+REAP_PERIOD_S = 1.0
+
 
 def _deadline_fired(timer) -> None:
     """Deadline-timer callback: wake a still-armed waiter one hop later.
@@ -97,7 +101,6 @@ class Invoker:
         runtime: "MoleculeRuntime",
         warm_pool_capacity: int = 4096,
         keep_alive_ttl_s: Optional[float] = None,
-        reap_period_s: float = 1.0,
         keepalive_policy: str = "ttl",
     ):
         self.runtime = runtime
@@ -116,16 +119,12 @@ class Invoker:
         #: Observability hub (lifecycle spans + metrics); None keeps the
         #: invoker instrumentation-free for unit tests.
         self.obs = getattr(runtime, "obs", None)
-        #: Reliability wiring (all optional so unit tests can run a bare
-        #: runtime): retry policy, per-PU health, dead letters.
-        self.retry_policy: RetryPolicy = (
-            getattr(runtime, "retry_policy", None) or RetryPolicy()
-        )
-        self.health = getattr(runtime, "health", None)
-        self.dead_letters = getattr(runtime, "dead_letters", None)
-        rng = getattr(runtime, "rng", None)
-        #: Seeded stream for backoff jitter (None disables jitter).
-        self._retry_rng = rng.fork("invoker-retry") if rng is not None else None
+        #: Reliability wiring: retry policy, per-PU health, dead letters.
+        self.retry_policy: RetryPolicy = runtime.retry_policy
+        self.health = runtime.health
+        self.dead_letters = runtime.dead_letters
+        #: Seeded stream for backoff jitter.
+        self._retry_rng = runtime.rng.fork("invoker-retry")
         # The engines wire themselves in; each one left None adds no
         # stage and no call to the request path: the warm-path engine
         # (repro.warmpath), the runtime-wide hedge policy
@@ -136,7 +135,7 @@ class Invoker:
         self._reaper_wakeup = None
         if keep_alive_ttl_s is not None:
             self.runtime.sim.spawn(
-                self._keepalive_reaper(reap_period_s), name="keepalive-reaper"
+                self._keepalive_reaper(), name="keepalive-reaper"
             )
 
     def notify_idle(self) -> None:
@@ -144,7 +143,7 @@ class Invoker:
         if self._reaper_wakeup is not None and not self._reaper_wakeup.triggered:
             self._reaper_wakeup.succeed()
 
-    def _keepalive_reaper(self, period_s: float):
+    def _keepalive_reaper(self):
         """Daemon: periodically evict instances idle past the TTL (§5
         keep-alive policies).
 
@@ -158,7 +157,7 @@ class Invoker:
                 self._reaper_wakeup = self.sim.event()
                 yield self._reaper_wakeup
                 self._reaper_wakeup = None
-            yield self.sim.timeout(period_s)
+            yield self.sim.timeout(REAP_PERIOD_S)
             self._reap(self.sim.now)
 
     def _reap(self, now: float) -> int:
@@ -375,7 +374,7 @@ class Invoker:
                 result.error = errors[-1] if errors else None
                 if attempts > 1:
                     trace.annotate(attempts=attempts)
-                if self.health is not None and attempt.placed is not None:
+                if attempt.placed is not None:
                     self.health.record_success(attempt.placed)
                 return result
             except Exception as exc:  # the attempt failed
@@ -391,7 +390,7 @@ class Invoker:
             # -- transient or terminal failure --------------------------------------
             trace.unwind()
             errors.append(f"{type(failure).__name__}: {failure}")
-            if self.health is not None and attempt.placed is not None:
+            if attempt.placed is not None:
                 self.health.record_failure(attempt.placed)
             if not self._retryable(failure):
                 self._dead_letter(request, attempts, errors, "error")
@@ -446,8 +445,6 @@ class Invoker:
             return PuKind.CPU, True
         if dispatch_kind.general_purpose:
             return dispatch_kind, False
-        if self.health is None:
-            return dispatch_kind, False
         pus = self.runtime.machine.pus_of_kind(dispatch_kind)
         if any(self.health.available(pu) for pu in pus):
             return dispatch_kind, False
@@ -471,15 +468,14 @@ class Invoker:
     def _dead_letter(self, request: Attempt, attempts, errors, reason):
         """Park a terminally failed request in the dead-letter queue."""
         name = request.function.name
-        if self.dead_letters is not None:
-            self.dead_letters.push(DeadLetter(
-                request_id=request.request_id,
-                function=name,
-                attempts=attempts,
-                errors=tuple(errors),
-                enqueued_at=self.sim.now,
-                reason=reason,
-            ))
+        self.dead_letters.push(DeadLetter(
+            request_id=request.request_id,
+            function=name,
+            attempts=attempts,
+            errors=tuple(errors),
+            enqueued_at=self.sim.now,
+            reason=reason,
+        ))
         if self.obs is not None:
             self.obs.metrics.dead_letters_total.child(name, reason).inc()
 
@@ -489,9 +485,8 @@ class Invoker:
         """Record the PU an attempt targets (breaker attribution +
         half-open probe claiming + crash-epoch snapshot)."""
         attempt.placed = pu
-        if self.health is not None:
-            attempt.epoch = self.health.epoch(pu)
-            self.health.begin_attempt(pu)
+        attempt.epoch = self.health.epoch(pu)
+        self.health.begin_attempt(pu)
 
     def _crashed_during(self, pu: ProcessingUnit, attempt: Attempt) -> bool:
         """True if ``pu`` crashed while this attempt was on it.
@@ -500,10 +495,7 @@ class Invoker:
         targeted the PU, so a crash followed by a reboot before the
         attempt finished is still detected.
         """
-        health = self.health
-        if health is None:
-            return False
-        return health.is_down(pu) or health.epoch(pu) != attempt.epoch
+        return self.health.is_down(pu) or self.health.epoch(pu) != attempt.epoch
 
     def _result(self, attempt: Attempt, pu, cold, startup_s,
                 exec_s) -> InvocationResult:

@@ -125,7 +125,6 @@ class MoleculeRuntime:
         prefer_cheapest: bool = False,
         obs: Optional[Observability] = None,
         seed: Optional[int] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         default_deadline_s: Optional[float] = None,
         fault_plan=None,
         warmpath=None,
@@ -145,7 +144,7 @@ class MoleculeRuntime:
         #: fork named sub-streams so runs with the same seed are
         #: byte-identical.
         self.rng = SeededRng(seed if seed is not None else config.default_seed())
-        self.retry_policy = retry_policy or RetryPolicy()
+        self.retry_policy = RetryPolicy()
         self.dead_letters = DeadLetterQueue(obs=self.obs)
         #: One fate per admitted request (settled by the invoker).
         self.fates = FateLedger()

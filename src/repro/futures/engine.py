@@ -65,13 +65,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.molecule import MoleculeRuntime
 
 
+#: Simulated stage-request execution cost per dataset item
+#: (microseconds): partitioning touches every input item, the reduce
+#: touches every mapped value.
+PARTITION_US_PER_ITEM = 2.0
+REDUCE_US_PER_ITEM = 2.0
+
+
 @dataclass
 class FanoutConfig:
     """Tuning knobs for the fan-out engine."""
 
-    #: Partitioning strategy: fixed partition size wins when set,
-    #: otherwise the dataset is spread over ``partitions`` chunks.
-    partition_size: Optional[int] = None
+    #: The dataset is spread over this many partitions.
     partitions: int = 64
     #: Partitions admitted per deterministic chunk (the batched
     #: submitter), and the stagger between chunks.
@@ -91,11 +96,6 @@ class FanoutConfig:
     speculation_percentile: float = 95.0
     speculation_min_samples: int = 10
     speculation_default_trigger_s: float = 0.25
-    #: Simulated stage-request execution cost per dataset item
-    #: (microseconds): partitioning touches every input item, the
-    #: reduce touches every mapped value.
-    partition_us_per_item: float = 2.0
-    reduce_us_per_item: float = 2.0
 
 
 @dataclass
@@ -236,12 +236,7 @@ class FanoutEngine:
                  config: Optional[FanoutConfig] = None):
         self.runtime = runtime
         self.config = config or FanoutConfig()
-        if self.config.partition_size is not None:
-            self.partitioner = Partitioner.fixed_size(
-                self.config.partition_size
-            )
-        else:
-            self.partitioner = Partitioner.chunk_count(self.config.partitions)
+        self.partitioner = Partitioner(self.config.partitions)
         self.speculation: Optional[SpeculationPolicy] = None
         if self.config.speculate:
             self.speculation = SpeculationPolicy(runtime, HedgeConfig(
@@ -330,7 +325,7 @@ class FanoutEngine:
             span = trace.begin_phase("partition") if trace is not None else None
             first = yield from self._stage_request(
                 function, frontend,
-                exec_s=self.config.partition_us_per_item * 1e-6 * len(items),
+                exec_s=PARTITION_US_PER_ITEM * 1e-6 * len(items),
                 payload_bytes=(
                     PAYLOAD_BASE_BYTES + PAYLOAD_BYTES_PER_ITEM * len(items)
                 ),
@@ -375,7 +370,7 @@ class FanoutEngine:
                 )
                 yield from self._stage_request(
                     function, frontend,
-                    exec_s=self.config.reduce_us_per_item * 1e-6 * len(flat),
+                    exec_s=REDUCE_US_PER_ITEM * 1e-6 * len(flat),
                     payload_bytes=(
                         PAYLOAD_BASE_BYTES
                         + PAYLOAD_BYTES_PER_ITEM * len(flat)

@@ -1,11 +1,10 @@
 """Deterministic data partitioning for fan-out jobs.
 
 A fan-out job starts from a concrete dataset (a sequence of items) and
-splits it into :class:`Partition` records before dispatch.  Both
-strategies — fixed partition *size* and fixed partition *count* — are
-pure functions of the input sequence, so the same dataset always
-yields the same partitions in the same order: the property the golden
-fan-out trace pins byte for byte.
+splits it into a fixed *count* of :class:`Partition` records before
+dispatch.  The split is a pure function of the input sequence, so the
+same dataset always yields the same partitions in the same order: the
+property the golden fan-out trace pins byte for byte.
 
 Datasets themselves come from :func:`synthetic_dataset`, which draws
 from a :class:`~repro.sim.rng.SeededRng` fork (never the global
@@ -15,7 +14,7 @@ from a :class:`~repro.sim.rng.SeededRng` fork (never the global
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.errors import WorkloadError
 from repro.sim.rng import SeededRng
@@ -47,57 +46,28 @@ class Partition:
 
 
 class Partitioner:
-    """Split a dataset into partitions under one of two strategies.
+    """Split a dataset over exactly ``chunks`` partitions, as evenly as
+    possible (the first ``len % chunks`` partitions get one extra
+    item)."""
 
-    ``fixed_size`` caps every partition at ``size`` items (the last one
-    may be short); ``chunk_count`` spreads the items over exactly
-    ``chunks`` partitions as evenly as possible (the first
-    ``len % chunks`` partitions get one extra item).  Exactly one
-    strategy must be configured.
-    """
-
-    def __init__(self, size: Optional[int] = None,
-                 chunks: Optional[int] = None):
-        if (size is None) == (chunks is None):
-            raise WorkloadError(
-                "configure exactly one of size= or chunks="
-            )
-        if size is not None and size < 1:
-            raise WorkloadError(f"partition size must be >= 1: {size}")
-        if chunks is not None and chunks < 1:
+    def __init__(self, chunks: int):
+        if chunks < 1:
             raise WorkloadError(f"partition count must be >= 1: {chunks}")
-        self.size = size
         self.chunks = chunks
-
-    @classmethod
-    def fixed_size(cls, size: int) -> "Partitioner":
-        """Partitions of at most ``size`` items each."""
-        return cls(size=size)
-
-    @classmethod
-    def chunk_count(cls, chunks: int) -> "Partitioner":
-        """Exactly ``chunks`` partitions, as even as possible."""
-        return cls(chunks=chunks)
 
     def partition(self, items: Sequence) -> tuple[Partition, ...]:
         """Split ``items`` into partitions (deterministic, ordered)."""
         items = tuple(items)
         if not items:
             return ()
-        if self.size is not None:
-            bounds = [
-                (lo, min(lo + self.size, len(items)))
-                for lo in range(0, len(items), self.size)
-            ]
-        else:
-            chunks = min(self.chunks, len(items))
-            base, extra = divmod(len(items), chunks)
-            bounds = []
-            lo = 0
-            for index in range(chunks):
-                hi = lo + base + (1 if index < extra else 0)
-                bounds.append((lo, hi))
-                lo = hi
+        chunks = min(self.chunks, len(items))
+        base, extra = divmod(len(items), chunks)
+        bounds = []
+        lo = 0
+        for index in range(chunks):
+            hi = lo + base + (1 if index < extra else 0)
+            bounds.append((lo, hi))
+            lo = hi
         return tuple(
             Partition(
                 index=index,

@@ -554,7 +554,7 @@ def _race_copy(invoker, hedger, attempt):
             hedger.on_cancelled(state, tag, attempt.placed, 0.0)
         else:
             state.failures.append(exc)
-            if invoker.health is not None and attempt.placed is not None:
+            if attempt.placed is not None:
                 invoker.health.record_failure(attempt.placed)
     else:
         # The winner keeps the copy's placement, not the copy itself:

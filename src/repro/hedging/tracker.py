@@ -13,8 +13,9 @@ triggers, request for request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
+
+from repro.obs.metrics import Histogram
 
 #: Latency histogram bucket upper bounds (seconds), roughly logarithmic
 #: from 1ms to 30s; latencies beyond the last bound land in an overflow
@@ -26,23 +27,11 @@ LATENCY_BUCKETS = (
 )
 
 
-@dataclass
-class LatencyStats:
-    """Observed end-to-end latencies of one function."""
-
-    #: Total completions observed.
-    count: int = 0
-    #: Latency histogram (len(LATENCY_BUCKETS) + 1 overflow).
-    bucket_counts: list = field(
-        default_factory=lambda: [0] * (len(LATENCY_BUCKETS) + 1)
-    )
-
-
 class LatencyTracker:
     """Per-function latency histogram with nearest-rank percentiles."""
 
     def __init__(self):
-        self._stats: dict[str, LatencyStats] = {}
+        self._stats: dict[str, Histogram] = {}
 
     def observe(self, func_name: str, latency_s: float) -> None:
         """Record one completed invocation of ``func_name``."""
@@ -50,14 +39,8 @@ class LatencyTracker:
             return
         stats = self._stats.get(func_name)
         if stats is None:
-            stats = self._stats[func_name] = LatencyStats()
-        index = len(LATENCY_BUCKETS)
-        for i, bound in enumerate(LATENCY_BUCKETS):
-            if latency_s <= bound:
-                index = i
-                break
-        stats.bucket_counts[index] += 1
-        stats.count += 1
+            stats = self._stats[func_name] = Histogram(LATENCY_BUCKETS)
+        stats.observe(latency_s)
 
     def functions(self) -> list[str]:
         """Every function the tracker has seen, in first-seen order."""
@@ -78,12 +61,4 @@ class LatencyTracker:
         bucket report that largest bound.
         """
         stats = self._stats.get(func_name)
-        if stats is None or stats.count == 0:
-            return None
-        rank = max(1, int(stats.count * q / 100.0 + 0.999999))
-        cumulative = 0
-        for i, count in enumerate(stats.bucket_counts):
-            cumulative += count
-            if cumulative >= rank:
-                return LATENCY_BUCKETS[min(i, len(LATENCY_BUCKETS) - 1)]
-        return LATENCY_BUCKETS[-1]
+        return None if stats is None else stats.rank_bound(q)

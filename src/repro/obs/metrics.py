@@ -210,6 +210,24 @@ class Histogram:
             lower = bound
         return lower  # pragma: no cover - +Inf bucket always crosses
 
+    def rank_bound(self, q: float) -> Optional[float]:
+        """Upper bound of the bucket holding the nearest-rank ``q``-th
+        percentile (``q`` in percent; None when empty).
+
+        The conservative reading of a percentile: never below it.  The
+        ``+Inf`` bucket reports the last finite bound.
+        """
+        if self._count == 0:
+            return None
+        rank = max(1, int(self._count * q / 100.0 + 0.999999))
+        last = len(self.bounds) - 2
+        cumulative = 0
+        for i, count in enumerate(self._counts):
+            cumulative += count
+            if cumulative >= rank:
+                return self.bounds[min(i, last)]
+        return self.bounds[last]
+
     @property
     def p50(self) -> float:
         """Median estimate."""

@@ -48,6 +48,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.molecule import MoleculeRuntime
 
 
+#: Shed-log records retained for the report (counters are lifetime
+#: regardless).
+SHED_LOG_CAPACITY = 10000
+
+
 @dataclass
 class OverloadConfig:
     """Tuning knobs for the overload controller."""
@@ -95,17 +100,13 @@ class OverloadConfig:
     #: — without a dwell the controller flaps between degraded-and-fine
     #: and undegraded-and-drowning.
     brownout_min_s: float = 2.0
-    #: Individual brownout effects (defeatable for tests/tuning).
-    degrade_accelerated: bool = True
-    suppress_prewarm: bool = True
+    #: Close the hedge-clone token bucket during brownout (the one
+    #: brownout effect defeatable for tests/tuning).
     throttle_hedges: bool = True
     #: Capacity installed on the runtime's DeadLetterQueue when the
     #: controller arms and the queue is still unbounded (None leaves
     #: it unbounded).
     dead_letter_capacity: Optional[int] = 4096
-    #: Shed-log records retained for the report (counters are lifetime
-    #: regardless).
-    shed_log_capacity: int = 10000
 
 
 class AdaptiveLimit:
@@ -382,9 +383,7 @@ class OverloadController:
         self._gate_list: list[AdmissionGate] = []
         #: Every shed raised, including those the result cache went on
         #: to answer (repro.reuse shed-to-stale).
-        self.shed_log: deque[dict] = deque(
-            maxlen=self.config.shed_log_capacity
-        )
+        self.shed_log: deque[dict] = deque(maxlen=SHED_LOG_CAPACITY)
         self.brownout_active = False
         self.brownout_entries = 0
         self._brownout_s = 0.0
@@ -562,7 +561,7 @@ class OverloadController:
     def degrade_accelerated(self) -> bool:
         """True while accelerator functions should fall back to their
         CPU-degraded profile."""
-        return self.brownout_active and self.config.degrade_accelerated
+        return self.brownout_active
 
     def note_degraded(self) -> None:
         self.degraded_forced += 1
@@ -571,7 +570,7 @@ class OverloadController:
         """True while the warm-path engine must not spawn pre-warm
         instances (each call during brownout counts one suppressed
         stocking pass)."""
-        if self.brownout_active and self.config.suppress_prewarm:
+        if self.brownout_active:
             self.prewarm_suppressed += 1
             return True
         return False

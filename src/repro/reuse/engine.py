@@ -49,6 +49,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.registry import FunctionDef
 
 
+#: Simulated lookup-and-respond latency of a cache hit.
+HIT_LATENCY_S = 0.0005
+
+
 @dataclass
 class ReuseConfig:
     """Tuning knobs for the result cache."""
@@ -62,8 +66,6 @@ class ReuseConfig:
     #: Eviction policy: ``"gdsf"`` (greedy-dual, execution-cost aware)
     #: or ``"lru"``.
     policy: str = "gdsf"
-    #: Simulated lookup-and-respond latency of a cache hit.
-    hit_latency_s: float = 0.0005
     #: Serve expired entries under pressure / short deadline budget.
     serve_stale: bool = True
     #: Downgrade an admission-gate shed to a stale answer when an
@@ -224,7 +226,7 @@ class ReuseEngine:
                         else self._stale_reason(gateway, request.request_id)
                     )
                     if reason is not None:
-                        yield sim.timeout(self.config.hit_latency_s)
+                        yield sim.timeout(HIT_LATENCY_S)
                         return self._answer(
                             request, CacheHit(entry, reason != "fresh", reason)
                         )

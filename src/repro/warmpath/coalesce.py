@@ -36,7 +36,7 @@ class CoalescedBatch:
         #: True once the leader's own cold start completed.
         self.leader_ready = False
         #: Extra instances requested so far (leader excluded); bounded
-        #: by the engine's ``max_batch - 1``.
+        #: by the engine's ``MAX_BATCH - 1``.
         self.requested = 0
         #: Extra-instance fork processes still in flight.
         self.spawning = 0

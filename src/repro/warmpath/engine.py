@@ -49,6 +49,32 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.registry import FunctionDef
 
 
+#: Total instances one coalesced batch may produce (leader + extras).
+MAX_BATCH = 8
+#: Pre-warmer tick period (sim seconds).
+PREWARM_PERIOD_S = 0.25
+#: How far ahead of predicted demand to stock instances (seconds of
+#: predicted arrivals).
+HORIZON_S = 1.0
+#: Cap on pre-warmed idle instances per function.
+MAX_PREWARM_PER_FUNCTION = 8
+#: EWMA smoothing for the arrival-rate estimator.
+RATE_ALPHA = 0.3
+#: Inter-arrival percentile a pre-warmed instance must outlive.
+TTL_PERCENTILE = 99.0
+#: Safety margin over that percentile gap.
+TTL_MARGIN = 1.5
+#: Clamp for adaptive keep-alive TTLs (seconds).
+MIN_TTL_S = 0.5
+MAX_TTL_S = 120.0
+#: Recent pre-warm outcomes considered by the self-correction loop.
+WASTED_WINDOW = 32
+#: Wasted fraction above which the pre-warm horizon halves.
+WASTED_THRESHOLD = 0.5
+#: Minimum predicted rate before programming an FPGA ahead of time.
+PREFETCH_MIN_RPS = 0.5
+
+
 @dataclass
 class WarmPathConfig:
     """Knobs of the warm-path engine (all mechanisms individually
@@ -56,36 +82,10 @@ class WarmPathConfig:
 
     #: Single-flight cold-start coalescing on/off.
     coalesce: bool = True
-    #: Total instances one batch may produce (leader + extras).
-    max_batch: int = 8
     #: Predictive pre-warm on/off.
     prewarm: bool = True
-    #: Pre-warmer tick period (sim seconds).
-    prewarm_period_s: float = 0.25
-    #: How far ahead of predicted demand to stock instances (seconds
-    #: of predicted arrivals).
-    horizon_s: float = 1.0
-    #: Cap on pre-warmed idle instances per function.
-    max_prewarm_per_function: int = 8
-    #: EWMA smoothing for the arrival-rate estimator.
-    rate_alpha: float = 0.3
-    #: Adapt per-function keep-alive TTLs from the gap histogram.
-    adaptive_ttl: bool = True
-    #: Inter-arrival percentile a pre-warmed instance must outlive.
-    ttl_percentile: float = 99.0
-    #: Safety margin over that percentile gap.
-    ttl_margin: float = 1.5
-    #: Clamp for adaptive TTLs (seconds).
-    min_ttl_s: float = 0.5
-    max_ttl_s: float = 120.0
-    #: Recent pre-warm outcomes considered by the self-correction loop.
-    wasted_window: int = 32
-    #: Wasted fraction above which the pre-warm horizon halves.
-    wasted_threshold: float = 0.5
     #: Bitstream prefetch on/off.
     prefetch: bool = True
-    #: Minimum predicted rate before programming an FPGA ahead of time.
-    prefetch_min_rps: float = 0.5
 
 
 #: Families the warm-path engine owns, registered when it is wired.
@@ -137,7 +137,7 @@ class WarmPathEngine:
                  config: Optional[WarmPathConfig] = None):
         self.runtime = runtime
         self.config = config or WarmPathConfig()
-        self.predictor = ArrivalPredictor(alpha=self.config.rate_alpha)
+        self.predictor = ArrivalPredictor(alpha=RATE_ALPHA)
         self.coalescer = ColdStartCoalescer()
         # -- lifetime counters (reports and tests) ------------------------------
         self.coalesced_served = 0
@@ -153,7 +153,7 @@ class WarmPathEngine:
         #: func_name -> pre-warm forks still in flight.
         self._prewarm_inflight: dict[str, int] = {}
         #: Recent pre-warm outcomes (True = wasted) for self-correction.
-        self._outcomes: deque = deque(maxlen=self.config.wasted_window)
+        self._outcomes: deque = deque(maxlen=WASTED_WINDOW)
         #: Multiplier on the pre-warm horizon, shrunk when predictions
         #: keep producing wasted instances.
         self.horizon_scale = 1.0
@@ -229,7 +229,7 @@ class WarmPathEngine:
         failing placement or stacking up sandboxes.
         """
         func_name, pu_id = batch.key
-        if 1 + batch.requested >= self.config.max_batch:
+        if 1 + batch.requested >= MAX_BATCH:
             return
         runtime = self.runtime
         try:
@@ -379,7 +379,7 @@ class WarmPathEngine:
                 self._wakeup = sim.event()
                 yield self._wakeup
                 self._wakeup = None
-            yield sim.timeout(self.config.prewarm_period_s)
+            yield sim.timeout(PREWARM_PERIOD_S)
             self._tick()
 
     def _work_pending(self) -> bool:
@@ -391,14 +391,14 @@ class WarmPathEngine:
             predicted = self.predictor.predicted_rps(name, now)
             if self.config.prewarm and self._desired_instances(predicted) > 0:
                 return True
-            if self.config.prefetch and predicted >= self.config.prefetch_min_rps:
+            if self.config.prefetch and predicted >= PREFETCH_MIN_RPS:
                 return True
         return False
 
     def _desired_instances(self, predicted_rps: float) -> int:
         """Instances worth holding warm for one function right now."""
-        raw = predicted_rps * self.config.horizon_s * self.horizon_scale
-        return min(int(raw), self.config.max_prewarm_per_function)
+        raw = predicted_rps * HORIZON_S * self.horizon_scale
+        return min(int(raw), MAX_PREWARM_PER_FUNCTION)
 
     def _update_horizon_scale(self) -> None:
         """Self-correction: shrink the horizon while predictions keep
@@ -406,9 +406,9 @@ class WarmPathEngine:
         if len(self._outcomes) < 8:
             return
         wasted = sum(1 for w in self._outcomes if w) / len(self._outcomes)
-        if wasted > self.config.wasted_threshold:
+        if wasted > WASTED_THRESHOLD:
             self.horizon_scale = max(0.25, self.horizon_scale * 0.5)
-        elif wasted < self.config.wasted_threshold / 2:
+        elif wasted < WASTED_THRESHOLD / 2:
             self.horizon_scale = min(1.0, self.horizon_scale * 1.25)
 
     def _tick(self) -> None:
@@ -427,8 +427,7 @@ class WarmPathEngine:
             predicted = self.predictor.predicted_rps(name, now)
             if metrics is not None:
                 metrics.predicted_rps.child(name).set(predicted)
-            if self.config.adaptive_ttl:
-                self._adapt_ttl(function)
+            self._adapt_ttl(function)
             if self.config.prewarm:
                 self._stock(function, predicted)
             if self.config.prefetch and function.supports(PuKind.FPGA):
@@ -444,15 +443,10 @@ class WarmPathEngine:
 
     def _adapt_ttl(self, function: "FunctionDef") -> None:
         """Set the function's keep-alive TTL from its gap distribution."""
-        gap = self.predictor.gap_percentile(
-            function.name, self.config.ttl_percentile
-        )
+        gap = self.predictor.gap_percentile(function.name, TTL_PERCENTILE)
         if gap is None:
             return
-        ttl = min(
-            max(gap * self.config.ttl_margin, self.config.min_ttl_s),
-            self.config.max_ttl_s,
-        )
+        ttl = min(max(gap * TTL_MARGIN, MIN_TTL_S), MAX_TTL_S)
         kind = self._gp_kind(function)
         if kind is None:
             return
@@ -537,7 +531,7 @@ class WarmPathEngine:
     def _maybe_prefetch(self, function: "FunctionDef",
                         predicted_rps: float) -> None:
         """Start programming the next image ahead of the first request."""
-        if predicted_rps < self.config.prefetch_min_rps:
+        if predicted_rps < PREFETCH_MIN_RPS:
             return
         runtime = self.runtime
         try:

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.obs.metrics import Histogram
+
 #: Inter-arrival histogram bucket upper bounds (seconds), roughly
 #: logarithmic from 1ms to 2 minutes; gaps beyond the last bound land
 #: in an overflow bucket.
@@ -39,10 +41,8 @@ class FunctionStats:
     last_arrival_s: float = 0.0
     #: EWMA of the instantaneous arrival rate (1 / inter-arrival gap).
     ewma_rate: float = 0.0
-    #: Inter-arrival gap histogram (len(GAP_BUCKETS) + 1 overflow).
-    gap_counts: list = field(
-        default_factory=lambda: [0] * (len(GAP_BUCKETS) + 1)
-    )
+    #: Inter-arrival gap histogram over GAP_BUCKETS.
+    gaps: Histogram = field(default_factory=lambda: Histogram(GAP_BUCKETS))
 
 
 class ArrivalPredictor:
@@ -62,12 +62,7 @@ class ArrivalPredictor:
         if stats.count:
             gap = now - stats.last_arrival_s
             if gap > 0.0:
-                index = len(GAP_BUCKETS)
-                for i, bound in enumerate(GAP_BUCKETS):
-                    if gap <= bound:
-                        index = i
-                        break
-                stats.gap_counts[index] += 1
+                stats.gaps.observe(gap)
                 instant = 1.0 / gap
                 if stats.ewma_rate:
                     stats.ewma_rate += self.alpha * (instant - stats.ewma_rate)
@@ -111,15 +106,4 @@ class ArrivalPredictor:
         report that largest bound — the TTL clamp handles the tail.
         """
         stats = self._stats.get(func_name)
-        if stats is None:
-            return None
-        total = sum(stats.gap_counts)
-        if total == 0:
-            return None
-        rank = max(1, int(total * q / 100.0 + 0.999999))
-        cumulative = 0
-        for i, count in enumerate(stats.gap_counts):
-            cumulative += count
-            if cumulative >= rank:
-                return GAP_BUCKETS[min(i, len(GAP_BUCKETS) - 1)]
-        return GAP_BUCKETS[-1]
+        return None if stats is None else stats.gaps.rank_bound(q)

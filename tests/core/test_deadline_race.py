@@ -32,6 +32,7 @@ from repro.hardware import FabricResources, KernelSpec
 from repro.loadgen import ArrivalPlan, OpenLoopDriver, build_runtime, run_load
 from repro.obs import Observability
 from repro.sim import Simulator
+from repro.warmpath.engine import PREFETCH_MIN_RPS
 
 GOLDEN_PLAN = (
     Path(__file__).parent.parent / "loadgen" / "data" / "golden_plan.json"
@@ -243,9 +244,7 @@ def test_orphan_keeps_its_place_among_waiters_on_a_shared_event():
     molecule.invoke_now("aes", kind=PuKind.FPGA)  # aes resident on fpga0
     # Reprogram fpga0 with an image holding fir and aes: requests for
     # either join the one in-flight programming event.
-    engine._maybe_prefetch(
-        molecule.registry.get("fir"), engine.config.prefetch_min_rps
-    )
+    engine._maybe_prefetch(molecule.registry.get("fir"), PREFETCH_MIN_RPS)
     programming = []
     programmed = []
     resumed = []

@@ -38,51 +38,41 @@ def test_synthetic_dataset_is_seed_deterministic():
 # -- partitioner -------------------------------------------------------------------
 
 
-def test_fixed_size_partitioning_covers_input_in_order():
-    items = tuple(range(10))
-    parts = Partitioner.fixed_size(4).partition(items)
-    assert [p.items for p in parts] == [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9)]
-    assert [p.index for p in parts] == [0, 1, 2]
-    assert [len(p) for p in parts] == [4, 4, 2]
-
-
 def test_chunk_count_partitioning_balances_within_one():
     items = tuple(range(10))
-    parts = Partitioner.chunk_count(3).partition(items)
+    parts = Partitioner(3).partition(items)
     assert [p.items for p in parts] == [
         (0, 1, 2, 3), (4, 5, 6), (7, 8, 9),
     ]
+    assert [p.index for p in parts] == [0, 1, 2]
+    assert [len(p) for p in parts] == [4, 3, 3]
     # More chunks than items degrades to one item per partition.
-    parts = Partitioner.chunk_count(99).partition((1, 2, 3))
+    parts = Partitioner(99).partition((1, 2, 3))
     assert [p.items for p in parts] == [(1,), (2,), (3,)]
 
 
 def test_partition_payload_scales_with_items():
-    parts = Partitioner.fixed_size(4).partition(tuple(range(6)))
+    parts = Partitioner(2).partition(tuple(range(6)) + (6, 7, 8, 9, 10))
     assert parts[0].payload_bytes == (
-        PAYLOAD_BASE_BYTES + 4 * PAYLOAD_BYTES_PER_ITEM
+        PAYLOAD_BASE_BYTES + 6 * PAYLOAD_BYTES_PER_ITEM
     )
     assert parts[1].payload_bytes == (
-        PAYLOAD_BASE_BYTES + 2 * PAYLOAD_BYTES_PER_ITEM
+        PAYLOAD_BASE_BYTES + 5 * PAYLOAD_BYTES_PER_ITEM
     )
 
 
 def test_partitioner_validates_strategy():
     with pytest.raises(WorkloadError):
-        Partitioner()
+        Partitioner(0)
     with pytest.raises(WorkloadError):
-        Partitioner(size=4, chunks=4)
-    with pytest.raises(WorkloadError):
-        Partitioner.fixed_size(0)
-    with pytest.raises(WorkloadError):
-        Partitioner.chunk_count(0)
+        Partitioner(-1)
 
 
 # -- future state machine ----------------------------------------------------------
 
 
 def _future(seq=0):
-    part = Partitioner.fixed_size(2).partition((1, 2))[0]
+    part = Partitioner(1).partition((1, 2))[0]
     return FanoutFuture(seq, part, "fn")
 
 

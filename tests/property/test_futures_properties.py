@@ -159,7 +159,7 @@ def test_map_reduce_matches_sequential_reference(geometry, crash, seed):
 
 
 def _pending_future(seq):
-    part = Partitioner.fixed_size(1).partition((seq,))[0]
+    part = Partitioner(1).partition((seq,))[0]
     future = FanoutFuture(seq, part, "f")
     future._mark_running(0.0)
     return future

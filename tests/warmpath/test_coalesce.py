@@ -13,6 +13,7 @@ from repro import (
 from repro.errors import ReproError
 from repro.sim import Simulator
 from repro.warmpath.coalesce import ColdStartCoalescer
+from repro.warmpath.engine import MAX_BATCH
 
 
 # -- bookkeeping units -------------------------------------------------------------
@@ -101,7 +102,7 @@ def test_storm_coalesces_into_fewer_sandboxes():
     sandboxes = (invoker.cold_invocations + engine.extra_spawned
                  + engine.prewarm_spawned)
     assert sandboxes < 40  # the acceptance bar: fewer sandboxes than requests
-    assert sandboxes <= engine.config.max_batch
+    assert sandboxes <= MAX_BATCH
     assert engine.snapshot()["coalesced_served"] == 39
 
 

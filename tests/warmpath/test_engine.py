@@ -13,6 +13,7 @@ from repro import (
     WorkProfile,
 )
 from repro.loadgen import run_load
+from repro.warmpath.engine import MAX_TTL_S, MIN_TTL_S
 
 from tests.support import GOLDEN_SEED, golden_seed_snapshot
 
@@ -100,7 +101,6 @@ def test_prewarm_spawns_hits_and_self_corrects():
 
 def test_adaptive_ttl_written_from_gap_distribution():
     molecule = _steady_run()
-    config = molecule.warmpath.config
     overrides = [
         pool.ttl_overrides["tick"]
         for pool in molecule.invoker.pools.values()
@@ -108,7 +108,7 @@ def test_adaptive_ttl_written_from_gap_distribution():
     ]
     assert overrides, "steady traffic must produce a TTL override"
     for ttl in overrides:
-        assert config.min_ttl_s <= ttl <= config.max_ttl_s
+        assert MIN_TTL_S <= ttl <= MAX_TTL_S
 
 
 def test_prewarm_loop_parks_when_idle():

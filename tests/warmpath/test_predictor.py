@@ -45,7 +45,7 @@ def test_same_timestep_arrivals_skip_degenerate_gap():
     stats = predictor.stats("f")
     assert stats.count == 2
     assert stats.ewma_rate == 0.0
-    assert sum(stats.gap_counts) == 0
+    assert stats.gaps.count == 0
 
 
 def test_gap_percentile_nearest_rank():

@@ -8,7 +8,7 @@ than the serialized 5-stage chain while measuring the same four edges.
 
 from repro import MoleculeRuntime
 from repro.analysis.report import format_table
-from repro.core.dagraph import DagGraphEngine, alexa_tree
+from repro.core.dag import alexa_tree
 from repro.workloads import serverlessbench
 
 
@@ -17,7 +17,7 @@ def _run_tree():
     for function in serverlessbench.alexa_functions():
         molecule.deploy_now(function)
     dag = alexa_tree()
-    engine = DagGraphEngine(molecule)
+    engine = molecule.dag
     placements = engine.co_locate(dag, molecule.machine.host_cpu)
     molecule.run(engine.prepare(dag, placements))
     tree_result = molecule.run(engine.run(dag, placements))

@@ -2,13 +2,16 @@
 
 from repro.core.billing import BillingLedger, BillingSummary, LedgerEntry
 from repro.core.cluster import GlobalManager, WorkerInfo
-from repro.core.dag import Chain, ChainResult, ChainStage, DagEngine, run_fpga_chain
-from repro.core.dagraph import (
+from repro.core.dag import (
+    Chain,
+    ChainResult,
+    ChainStage,
     DagEdge,
-    DagGraphEngine,
+    DagEngine,
     DagRunResult,
     FunctionDag,
     alexa_tree,
+    run_fpga_chain,
 )
 from repro.core.executor import Command, Executor, ExecutorClient
 from repro.core.policies import (
@@ -35,7 +38,6 @@ __all__ = [
     "CheapestPolicy",
     "CostAwarePolicy",
     "DagEdge",
-    "DagGraphEngine",
     "DagRunResult",
     "FastestPolicy",
     "FunctionDag",

@@ -116,9 +116,8 @@ class Invoker:
         self.warm_invocations = 0
         #: Requests served by a coalesced single-flight batch.
         self.coalesced_invocations = 0
-        #: Observability hub (lifecycle spans + metrics); None keeps the
-        #: invoker instrumentation-free for unit tests.
-        self.obs = getattr(runtime, "obs", None)
+        #: Observability hub (lifecycle spans + metrics).
+        self.obs = runtime.obs
         #: Reliability wiring: retry policy, per-PU health, dead letters.
         self.retry_policy: RetryPolicy = runtime.retry_policy
         self.health = runtime.health
@@ -168,7 +167,7 @@ class Invoker:
             for instance in pool.reap_expired(now):
                 self.sim.spawn(self._destroy(instance))
                 reaped += 1
-        if reaped and self.obs is not None:
+        if reaped:
             self.obs.metrics.keepalive_reaped_total.inc(reaped)
         return reaped
 
@@ -230,11 +229,7 @@ class Invoker:
         hedger = hedge_policy if hedge_policy is not None else self.hedging
         sim = self.runtime.sim
         start = sim._now
-        trace = (
-            self.obs.begin_invocation(function.name)
-            if self.obs is not None
-            else NULL_TRACE
-        )
+        trace = self.obs.begin_invocation(function.name)
         fates = self.runtime.fates
         request = None
         try:
@@ -323,10 +318,9 @@ class Invoker:
             attempt_kind, degraded = self._effective_kind(function, dispatch_kind)
             if degraded:
                 degraded_any = True
-                if self.obs is not None:
-                    self.obs.metrics.degraded_total.child(
-                        function.name, dispatch_kind.value, attempt_kind.value
-                    ).inc()
+                self.obs.metrics.degraded_total.child(
+                    function.name, dispatch_kind.value, attempt_kind.value
+                ).inc()
                 trace.annotate(degraded=True)
                 attempt = request.copy(attempt_kind, None, DetachableTrace(trace))
             else:
@@ -403,10 +397,9 @@ class Invoker:
                     attempts=attempts,
                     errors=errors,
                 )
-            if self.obs is not None:
-                self.obs.metrics.retries_total.child(
-                    function.name, type(failure).__name__
-                ).inc()
+            self.obs.metrics.retries_total.child(
+                function.name, type(failure).__name__
+            ).inc()
             backoff = self.retry_policy.backoff_s(attempts, self._retry_rng)
             if deadline_at is not None:
                 backoff = min(backoff, max(0.0, deadline_at - sim._now))
@@ -455,10 +448,9 @@ class Invoker:
 
     def _expire(self, request: Attempt, attempts, errors):
         """Dead-letter a request that ran out of deadline and raise."""
-        if self.obs is not None:
-            self.obs.metrics.deadline_exceeded_total.child(
-                request.function.name
-            ).inc()
+        self.obs.metrics.deadline_exceeded_total.child(
+            request.function.name
+        ).inc()
         self._dead_letter(request, attempts, errors, "deadline")
         raise DeadlineExceeded(
             f"request {request.request_id} for {request.function.name!r} "
@@ -476,8 +468,7 @@ class Invoker:
             enqueued_at=self.sim.now,
             reason=reason,
         ))
-        if self.obs is not None:
-            self.obs.metrics.dead_letters_total.child(name, reason).inc()
+        self.obs.metrics.dead_letters_total.child(name, reason).inc()
 
     # -- attempt: placement and crash bookkeeping ------------------------------------
 

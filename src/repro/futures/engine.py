@@ -268,9 +268,7 @@ class FanoutEngine:
             name: [] for name in FANOUT_STAGES
         }
         self._seq = itertools.count(0)
-        self.metrics = None
-        if runtime.obs is not None:
-            self.metrics = runtime.obs.registry.register_table(FANOUT_METRICS)
+        self.metrics = runtime.obs.registry.register_table(FANOUT_METRICS)
 
     @property
     def sim(self):
@@ -307,22 +305,16 @@ class FanoutEngine:
             raise WorkloadError("fan-out job needs a non-empty dataset")
         fdef = self.runtime.registry.get(function)
         sim = self.sim
-        obs = self.runtime.obs
         start = sim.now
         self.jobs += 1
-        if self.metrics is not None:
-            self.metrics.jobs.child(function).inc()
-        trace = (
-            obs.begin_invocation(function)
-            if obs is not None else None
-        )
-        if trace is not None:
-            trace.annotate(start_kind=START_FANOUT)
+        self.metrics.jobs.child(function).inc()
+        trace = self.runtime.obs.begin_invocation(function)
+        trace.annotate(start_kind=START_FANOUT)
         stage_s: dict[str, float] = {}
         try:
             # -- stage 1: CPU partition ------------------------------------------
             t0 = sim.now
-            span = trace.begin_phase("partition") if trace is not None else None
+            span = trace.begin_phase("partition")
             first = yield from self._stage_request(
                 function, frontend,
                 exec_s=PARTITION_US_PER_ITEM * 1e-6 * len(items),
@@ -331,13 +323,12 @@ class FanoutEngine:
                 ),
             )
             partitions = self.partitioner.partition(items)
-            if trace is not None:
-                trace.end_phase(span)
-                trace.annotate(partitions=len(partitions))
+            trace.end_phase(span)
+            trace.annotate(partitions=len(partitions))
             stage_s["partition"] = sim.now - t0
             # -- stage 2: chunked fan-out ----------------------------------------
             t0 = sim.now
-            span = trace.begin_phase("fanout") if trace is not None else None
+            span = trace.begin_phase("fanout")
             futures = [
                 FanoutFuture(next(self._seq), partition, function)
                 for partition in partitions
@@ -345,15 +336,13 @@ class FanoutEngine:
             job_batches = yield from self._admit(
                 futures, map_fn, function, frontend
             )
-            if trace is not None:
-                trace.end_phase(span)
+            trace.end_phase(span)
             stage_s["fanout"] = sim.now - t0
             # -- stage 3: straggler-aware gather ---------------------------------
             t0 = sim.now
-            span = trace.begin_phase("gather") if trace is not None else None
+            span = trace.begin_phase("gather")
             speculated = yield from self._gather(futures, fdef)
-            if trace is not None:
-                trace.end_phase(span)
+            trace.end_phase(span)
             stage_s["gather"] = sim.now - t0
             self._raise_partial_failure(function, futures)
             flat = [
@@ -365,9 +354,7 @@ class FanoutEngine:
             value: object = flat
             if reduce_fn is not None:
                 t0 = sim.now
-                span = (
-                    trace.begin_phase("reduce") if trace is not None else None
-                )
+                span = trace.begin_phase("reduce")
                 yield from self._stage_request(
                     function, frontend,
                     exec_s=REDUCE_US_PER_ITEM * 1e-6 * len(flat),
@@ -377,23 +364,19 @@ class FanoutEngine:
                     ),
                 )
                 value = functools.reduce(reduce_fn, flat)
-                if trace is not None:
-                    trace.end_phase(span)
+                trace.end_phase(span)
                 stage_s["reduce"] = sim.now - t0
         except RequestShed as exc:
             self.jobs_failed += 1
-            if trace is not None:
-                trace.shed(exc.reason)
+            trace.shed(exc.reason)
             raise
         except Exception as exc:
             self.jobs_failed += 1
-            if trace is not None:
-                trace.fail(type(exc).__name__)
+            trace.fail(type(exc).__name__)
             raise
         for name, duration in stage_s.items():
             self.stage_samples[name].append(duration)
-        if trace is not None:
-            trace.finish()
+        trace.finish()
         return FanoutJobResult(
             function=function,
             value=value,
@@ -453,8 +436,7 @@ class FanoutEngine:
                 )
             self.batches += 1
             job_batches += 1
-            if metrics is not None:
-                metrics.batches.inc()
+            metrics.batches.inc()
             if (self.config.admit_stagger_s > 0
                     and lo + chunk_size < len(futures)):
                 yield self.sim.timeout(self.config.admit_stagger_s)
@@ -488,8 +470,7 @@ class FanoutEngine:
             (round(self.sim.now, 9), future.seq, future.outcome)
         )
         self.task_samples.append(future.finished_s - future.dispatched_s)
-        if metrics is not None:
-            metrics.tasks.child(function, future.outcome).inc()
+        metrics.tasks.child(function, future.outcome).inc()
 
     def _gather(self, futures: list[FanoutFuture], fdef) -> int:
         """Generator: threshold wait, then the straggler sweep."""
@@ -526,8 +507,7 @@ class FanoutEngine:
                 future.speculated = True
                 speculated += 1
                 self.speculations += 1
-                if metrics is not None:
-                    metrics.speculations.child(future.function).inc()
+                metrics.speculations.child(future.function).inc()
 
     def _raise_partial_failure(self, function: str,
                                futures: list[FanoutFuture]) -> None:

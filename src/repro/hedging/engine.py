@@ -240,9 +240,7 @@ class HedgePolicy:
         #: A "lost" primary is one whose clone answered first — the
         #: sign the PU was the slow side of the race.
         self.pu_stats: dict[str, dict] = {}
-        self.metrics = None
-        if runtime.obs is not None:
-            self.metrics = runtime.obs.registry.register_table(HEDGE_METRICS)
+        self.metrics = runtime.obs.registry.register_table(HEDGE_METRICS)
         # ``wire=False`` builds a free-standing policy (the fan-out
         # engine's straggler speculation) that must not become the
         # runtime-wide hedger: it is passed per request instead.
@@ -332,16 +330,14 @@ class HedgePolicy:
             if not self.budget.try_fire(self.wasted_cost, total_cost):
                 self.skipped += 1
                 self.throttled += 1
-                if self.metrics is not None:
-                    self.metrics.throttled.child(function.name).inc()
+                self.metrics.throttled.child(function.name).inc()
                 return False
         state.fired = True
         state.exclude = primary_pu
         state.pending += 1
         self.fired += 1
         self._pu_stat(primary_pu.name)["primaries"] += 1
-        if self.metrics is not None:
-            self.metrics.fired.child(function.name).inc()
+        self.metrics.fired.child(function.name).inc()
         state.event = {
             "request_id": state.request_id,
             "function": function.name,
@@ -361,8 +357,7 @@ class HedgePolicy:
                 state.event["clone_pu"] = result.pu_name
         if tag == "clone":
             self.won += 1
-            if self.metrics is not None:
-                self.metrics.won.child(state.function.name).inc()
+            self.metrics.won.child(state.function.name).inc()
             if state.event is not None:
                 self._pu_stat(state.event["primary_pu"])["lost"] += 1
 
@@ -372,17 +367,15 @@ class HedgePolicy:
         ``placed`` is the PU it had landed on, if any."""
         if tag == "clone":
             self.cancelled += 1
-            if self.metrics is not None:
-                self.metrics.cancelled.child(state.function.name).inc()
+            self.metrics.cancelled.child(state.function.name).inc()
             if (state.event is not None and state.event["clone_pu"] is None
                     and placed is not None):
                 state.event["clone_pu"] = placed.name
         if wasted_s > 0.0:
             self.wasted_s += wasted_s
-            if self.metrics is not None:
-                self.metrics.wasted_seconds.child(state.function.name).inc(
-                    wasted_s
-                )
+            self.metrics.wasted_seconds.child(state.function.name).inc(
+                wasted_s
+            )
             if state.event is not None:
                 state.event["wasted_ms"] += round(wasted_s * 1000.0, 6)
 

@@ -81,6 +81,44 @@ class RequestRecord:
         return self.tuple() + (self.hedged,)
 
 
+def _serve(driver, index: int, arrival):
+    """Generator: run one arrival through ``driver`` (either driver) and
+    record its fate in a new :class:`RequestRecord`."""
+    sim = driver.runtime.sim
+    record = RequestRecord(
+        index=index, function=arrival.function, submitted_s=sim.now
+    )
+    driver.records.append(record)
+    try:
+        if driver.invoke_factory is not None:
+            result = yield from driver.invoke_factory(index, arrival)
+        else:
+            entry = (driver.frontend if driver.frontend is not None
+                     else driver.runtime.invoker)
+            result = yield from entry.invoke(
+                arrival.function,
+                kind=arrival.kind,
+                payload_bytes=arrival.payload_bytes,
+                input_key=arrival.input_key,
+            )
+    except ReproError as exc:
+        record.outcome = (
+            OUTCOME_SHED if isinstance(exc, RequestShed)
+            else type(exc).__name__
+        )
+        record.latency_s = sim.now - record.submitted_s
+    else:
+        record.admitted_s = result.admitted_s
+        record.shard = result.shard
+        record.pu = result.pu_name
+        record.cold = result.cold
+        record.attempts = result.attempts
+        record.latency_s = result.total_s
+        record.hedged = result.hedged
+        record.cache = getattr(result, "cache", "")
+    driver.finished_s = max(driver.finished_s, sim.now)
+
+
 class OpenLoopDriver:
     """Admit each arrival at its trace time, never waiting on answers."""
 
@@ -117,46 +155,6 @@ class OpenLoopDriver:
         """The measurement window: first submit to last completion."""
         return self.finished_s - self.started_s
 
-    def _invoke(self, name: str, **kwargs):
-        if self.frontend is not None:
-            return self.frontend.invoke(name, **kwargs)
-        return self.runtime.invoker.invoke(name, **kwargs)
-
-    def _request(self, index: int, arrival):
-        record = RequestRecord(
-            index=index,
-            function=arrival.function,
-            submitted_s=self.runtime.sim.now,
-        )
-        self.records.append(record)
-        self.submitted += 1
-        try:
-            if self.invoke_factory is not None:
-                result = yield from self.invoke_factory(index, arrival)
-            else:
-                result = yield from self._invoke(
-                    arrival.function,
-                    kind=arrival.kind,
-                    payload_bytes=arrival.payload_bytes,
-                    input_key=arrival.input_key,
-                )
-        except ReproError as exc:
-            record.outcome = (
-                OUTCOME_SHED if isinstance(exc, RequestShed)
-                else type(exc).__name__
-            )
-            record.latency_s = self.runtime.sim.now - record.submitted_s
-        else:
-            record.admitted_s = result.admitted_s
-            record.shard = result.shard
-            record.pu = result.pu_name
-            record.cold = result.cold
-            record.attempts = result.attempts
-            record.latency_s = result.total_s
-            record.hedged = result.hedged
-            record.cache = getattr(result, "cache", "")
-        self.finished_s = max(self.finished_s, self.runtime.sim.now)
-
     def _pacer(self):
         sim = self.runtime.sim
         base = sim.now
@@ -164,9 +162,8 @@ class OpenLoopDriver:
             delay = base + arrival.time_s - sim.now
             if delay > 0:
                 yield sim.timeout(delay)
-            sim.spawn(
-                self._request(index, arrival), name=f"load-{index}"
-            )
+            self.submitted += 1
+            sim.spawn(_serve(self, index, arrival), name=f"load-{index}")
 
     def run(self) -> list[RequestRecord]:
         """Replay the whole plan and drain the simulation."""
@@ -230,11 +227,6 @@ class ClosedLoopDriver:
         """The measurement window: first submit to last completion."""
         return self.finished_s - self.started_s
 
-    def _invoke(self, name: str, **kwargs):
-        if self.frontend is not None:
-            return self.frontend.invoke(name, **kwargs)
-        return self.runtime.invoker.invoke(name, **kwargs)
-
     def _acquire_tasks(self, weight: int):
         """Generator: park until ``weight`` more tasks fit under the
         concurrency bound.  A request heavier than the whole bound is
@@ -268,40 +260,10 @@ class ClosedLoopDriver:
                 if self.task_weight is not None else 1
             )
             yield from self._acquire_tasks(weight)
-            record = RequestRecord(
-                index=index,
-                function=arrival.function,
-                submitted_s=self.runtime.sim.now,
-            )
-            self.records.append(record)
             try:
-                if self.invoke_factory is not None:
-                    result = yield from self.invoke_factory(index, arrival)
-                else:
-                    result = yield from self._invoke(
-                        arrival.function,
-                        kind=arrival.kind,
-                        payload_bytes=arrival.payload_bytes,
-                        input_key=arrival.input_key,
-                    )
-            except ReproError as exc:
-                record.outcome = (
-                    OUTCOME_SHED if isinstance(exc, RequestShed)
-                    else type(exc).__name__
-                )
-                record.latency_s = self.runtime.sim.now - record.submitted_s
-            else:
-                record.admitted_s = result.admitted_s
-                record.shard = result.shard
-                record.pu = result.pu_name
-                record.cold = result.cold
-                record.attempts = result.attempts
-                record.latency_s = result.total_s
-                record.hedged = result.hedged
-                record.cache = getattr(result, "cache", "")
+                yield from _serve(self, index, arrival)
             finally:
                 self._release_tasks(weight)
-            self.finished_s = max(self.finished_s, self.runtime.sim.now)
 
     def run(self) -> list[RequestRecord]:
         """Drain the plan through the worker pool."""

@@ -203,9 +203,7 @@ class ShardedFrontend:
         self.runtime = runtime
         self.policy = policy
         self.ring = HashRing(num_shards, vnodes=vnodes)
-        self.metrics = None
-        if runtime.obs is not None:
-            self.metrics = runtime.obs.registry.register_table(SHARD_METRICS)
+        self.metrics = runtime.obs.registry.register_table(SHARD_METRICS)
         deadline = (
             default_deadline_s
             if default_deadline_s is not None
@@ -234,7 +232,7 @@ class ShardedFrontend:
             for pu_id in shard.affinity
         }
         runtime.frontend = self
-        overload = getattr(runtime, "overload", None)
+        overload = runtime.overload
         if overload is not None:
             overload.attach_frontend(self)
 
@@ -256,8 +254,7 @@ class ShardedFrontend:
             shard = self._route_locality(function, kind)
         else:
             shard = self.shards[self.ring.route(function)]
-        if self.metrics is not None:
-            self.metrics.routed_total.child(str(shard.index), self.policy).inc()
+        self.metrics.routed_total.child(str(shard.index), self.policy).inc()
         return shard
 
     def _route_least_outstanding(self) -> GatewayShard:
@@ -292,7 +289,7 @@ class ShardedFrontend:
         """Generator: route one request and run it through its shard."""
         kind = kwargs.get("kind")
         shard = self.route(name, kind)
-        if getattr(self.runtime, "overload", None) is not None:
+        if self.runtime.overload is not None:
             # A half-open breaker's single probe must never be shed: it
             # is the only signal that can close the breaker again.
             # Detected before begin_request claims the probe slot (the
@@ -323,7 +320,7 @@ class ShardedFrontend:
         elapsed = (
             elapsed_s if elapsed_s is not None else self.runtime.sim.now
         )
-        overload = getattr(self.runtime, "overload", None)
+        overload = self.runtime.overload
         shed = self.runtime.fates.shed_by_gate
         return [
             {

@@ -94,8 +94,8 @@ def build_report(
     else:
         admitted = runtime.gateway.requests_admitted
     dead = len(runtime.dead_letters)
-    overload = getattr(runtime, "overload", None)
-    fanout = getattr(runtime, "fanout", None)
+    overload = runtime.overload
+    fanout = runtime.fanout
     # Counted per request, so fanned-out tasks count rather than jobs.
     runtime.check_fates()
     lost = runtime.fates.in_flight
@@ -184,7 +184,7 @@ def build_report(
             total.cost / len(answered) if answered else 0.0
         ),
     }
-    hedging = getattr(runtime, "hedging", None)
+    hedging = runtime.hedging
     if hedging is not None:
         snap = hedging.snapshot()
         hedged = sum(1 for r in answered if r.hedged)
@@ -227,7 +227,7 @@ def build_report(
                 if samples
             },
         }
-    reuse = getattr(runtime, "reuse", None)
+    reuse = runtime.reuse
     if reuse is not None:
         cached = sum(1 for r in answered if r.cache)
         stale_served = sum(1 for r in answered if r.cache == "stale")

@@ -390,29 +390,23 @@ class OverloadController:
         self._brownout_since: Optional[float] = None
         self.prewarm_suppressed = 0
         self.degraded_forced = 0
-        self.metrics = None
-        if runtime.obs is not None:
-            self.metrics = runtime.obs.registry.register_table(OVERLOAD_METRICS)
+        self.metrics = runtime.obs.registry.register_table(OVERLOAD_METRICS)
         runtime.invoker.overload = self
         # Bound the dead-letter queue so a sustained overload cannot
         # grow it without limit (drop-oldest; see DeadLetterQueue).
-        dead_letters = getattr(runtime, "dead_letters", None)
-        if (dead_letters is not None
-                and self.config.dead_letter_capacity is not None
+        dead_letters = runtime.dead_letters
+        if (self.config.dead_letter_capacity is not None
                 and dead_letters.capacity is None):
             dead_letters.capacity = self.config.dead_letter_capacity
         # The brownout throttles hedge clones through the hedging
         # engine's global token bucket; install an unlimited-but-
         # throttleable bucket when the policy has none configured.
-        hedging = getattr(runtime, "hedging", None)
+        hedging = runtime.hedging
         if hedging is not None and self.config.throttle_hedges:
             if hedging.budget is None:
                 from repro.hedging.budget import HedgeBudget
 
                 hedging.budget = HedgeBudget()
-        frontend = getattr(runtime, "frontend", None)
-        if frontend is not None:
-            self.attach_frontend(frontend)
 
     @property
     def sim(self):
@@ -483,8 +477,7 @@ class OverloadController:
             "at_s": round(self.sim.now, 9),
             "waited_s": round(waited_s, 9),
         })
-        if self.metrics is not None:
-            self.metrics.shed_total.child(function.name, reason).inc()
+        self.metrics.shed_total.child(function.name, reason).inc()
         raise RequestShed(
             f"request {request_id} for {function.name!r} shed at "
             f"admission ({reason})",
@@ -530,8 +523,7 @@ class OverloadController:
         self.brownout_entries += 1
         self._brownout_since = self.sim.now
         self._set_hedge_throttle(True)
-        if self.metrics is not None:
-            self.metrics.brownout_total.child("enter").inc()
+        self.metrics.brownout_total.child("enter").inc()
 
     def _exit_brownout(self) -> None:
         self.brownout_active = False
@@ -539,13 +531,12 @@ class OverloadController:
             self._brownout_s += self.sim.now - self._brownout_since
             self._brownout_since = None
         self._set_hedge_throttle(False)
-        if self.metrics is not None:
-            self.metrics.brownout_total.child("exit").inc()
+        self.metrics.brownout_total.child("exit").inc()
 
     def _set_hedge_throttle(self, active: bool) -> None:
         if not self.config.throttle_hedges:
             return
-        hedging = getattr(self.runtime, "hedging", None)
+        hedging = self.runtime.hedging
         if hedging is not None and hedging.budget is not None:
             hedging.budget.throttled = active
 

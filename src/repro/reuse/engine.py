@@ -165,9 +165,7 @@ class ReuseEngine:
         self.revalidations = 0
         self.stale_by_reason: dict[str, int] = {}
         self.bypass_by_reason: dict[str, int] = {}
-        self.metrics = None
-        if runtime.obs is not None:
-            self.metrics = runtime.obs.registry.register_table(REUSE_METRICS)
+        self.metrics = runtime.obs.registry.register_table(REUSE_METRICS)
         runtime.invoker.reuse = self
 
     @property
@@ -237,8 +235,7 @@ class ReuseEngine:
                 if joined is None:
                     # Nobody is executing this key: lead the flight.
                     self.misses += 1
-                    if self.metrics is not None:
-                        self.metrics.misses.child(name).inc()
+                    self.metrics.misses.child(name).inc()
                     flight = self.flights.begin(key)
                     break
                 waiter = self.flights.join(joined, sim)
@@ -284,12 +281,11 @@ class ReuseEngine:
             )
         else:
             self.served_fresh += 1
-        if self.metrics is not None:
-            self.metrics.hits.child(
-                request.function.name, "stale" if hit.stale else hit.reason
-            ).inc()
-            if hit.stale:
-                self.metrics.stale.child(hit.reason).inc()
+        self.metrics.hits.child(
+            request.function.name, "stale" if hit.stale else hit.reason
+        ).inc()
+        if hit.stale:
+            self.metrics.stale.child(hit.reason).inc()
         request.trace.annotate(
             pu="cache",
             pu_kind="cache",
@@ -328,7 +324,7 @@ class ReuseEngine:
         """
         if not self.config.serve_stale:
             return None
-        overload = getattr(self.runtime, "overload", None)
+        overload = self.runtime.overload
         if overload is None:
             return None
         if (overload.brownout_active
@@ -375,8 +371,7 @@ class ReuseEngine:
         self.bypass_by_reason[reason] = (
             self.bypass_by_reason.get(reason, 0) + 1
         )
-        if self.metrics is not None:
-            self.metrics.bypass.child(reason).inc()
+        self.metrics.bypass.child(reason).inc()
 
     def fill(self, flight: Flight, function: "FunctionDef", result,
              payload_bytes: int) -> CacheEntry:
@@ -401,18 +396,17 @@ class ReuseEngine:
         evicted = self.cache.put(entry)
         served = self.flights.finish(flight, entry)
         metrics = self.metrics
-        if metrics is not None:
-            if evicted:
-                metrics.evictions.inc(len(evicted))
-            if served:
-                metrics.singleflight.child(name).inc(served)
+        if evicted:
+            metrics.evictions.inc(len(evicted))
+        if served:
+            metrics.singleflight.child(name).inc(served)
         return entry
 
     def invalidate(self, name: str) -> int:
         """Eagerly drop every entry of ``name`` (redeploy hook; the
         generation check also catches entries lazily)."""
         dropped = self.cache.invalidate_function(name)
-        if dropped and self.metrics is not None:
+        if dropped:
             self.metrics.invalidations.inc(dropped)
         return dropped
 

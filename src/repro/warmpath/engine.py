@@ -166,9 +166,7 @@ class WarmPathEngine:
         #: yet claimed by a request (consumed on first warm FPGA start).
         self._prefetched: set = set()
 
-        self.metrics = None
-        if runtime.obs is not None:
-            self.metrics = runtime.obs.registry.register_table(WARMPATH_METRICS)
+        self.metrics = runtime.obs.registry.register_table(WARMPATH_METRICS)
         runtime.invoker.engine = self
         if self.config.prewarm or self.config.prefetch:
             runtime.sim.spawn(self._prewarm_loop(), name="warmpath-prewarmer")
@@ -328,8 +326,7 @@ class WarmPathEngine:
     def on_coalesced_start(self, func_name: str) -> None:
         """A follower was served by a batch instead of a cold start."""
         self.coalesced_served += 1
-        if self.metrics is not None:
-            self.metrics.coalesced_starts.child(func_name).inc()
+        self.metrics.coalesced_starts.child(func_name).inc()
 
     # -- pre-warm accounting ---------------------------------------------------------
 
@@ -341,8 +338,7 @@ class WarmPathEngine:
             if instance.requests_served == 0:
                 self.prewarm_hits += 1
                 self._outcomes.append(False)
-                if self.metrics is not None:
-                    self.metrics.prewarm_hits.child(instance.function.name).inc()
+                self.metrics.prewarm_hits.child(instance.function.name).inc()
 
     def on_instance_destroyed(self, instance: "FunctionInstance") -> None:
         """Invoker hook: an instance died; debit it if it was a
@@ -361,8 +357,7 @@ class WarmPathEngine:
             instance.prewarmed = False
             self.prewarm_wasted += 1
             self._outcomes.append(True)
-            if self.metrics is not None:
-                self.metrics.prewarm_wasted.child(instance.function.name).inc()
+            self.metrics.prewarm_wasted.child(instance.function.name).inc()
 
     # -- the PreWarmer process -------------------------------------------------------
 
@@ -425,8 +420,7 @@ class WarmPathEngine:
             except ReproError:  # pragma: no cover - unregistered name
                 continue
             predicted = self.predictor.predicted_rps(name, now)
-            if metrics is not None:
-                metrics.predicted_rps.child(name).set(predicted)
+            metrics.predicted_rps.child(name).set(predicted)
             self._adapt_ttl(function)
             if self.config.prewarm:
                 self._stock(function, predicted)
@@ -457,7 +451,7 @@ class WarmPathEngine:
 
     def _stock(self, function: "FunctionDef", predicted_rps: float) -> None:
         """Fork instances to cover the function's predicted deficit."""
-        overload = getattr(self.runtime, "overload", None)
+        overload = self.runtime.overload
         if overload is not None and overload.suppress_prewarm():
             # Brownout: speculative capacity competes with admitted
             # requests for the cores that are already oversubscribed.
@@ -506,8 +500,7 @@ class WarmPathEngine:
             return
         instance.prewarmed = True
         self.prewarm_spawned += 1
-        if self.metrics is not None:
-            self.metrics.prewarm_spawned.child(function.name).inc()
+        self.metrics.prewarm_spawned.child(function.name).inc()
         if not invoker._is_alive(instance):
             invoker.sim.spawn(invoker._destroy(instance))
             return
@@ -592,8 +585,7 @@ class WarmPathEngine:
         if not ok:
             return
         self.prefetch_started += 1
-        if self.metrics is not None:
-            self.metrics.prefetch_started.child(function.name).inc()
+        self.metrics.prefetch_started.child(function.name).inc()
         # The previous image (and any unclaimed marks on it) is gone.
         self._prefetched = {
             (pu_id, name) for pu_id, name in self._prefetched
@@ -626,8 +618,7 @@ class WarmPathEngine:
         if (pu_id, func_name) in self._prefetched:
             self._prefetched.discard((pu_id, func_name))
             self.prefetch_hits += 1
-            if self.metrics is not None:
-                self.metrics.prefetch_hits.child(func_name).inc()
+            self.metrics.prefetch_hits.child(func_name).inc()
 
     # -- reporting -------------------------------------------------------------------
 

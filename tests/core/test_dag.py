@@ -117,6 +117,34 @@ def test_chain_placements_recorded(runtime):
     assert result.placements == ["cpu0", "dpu0", "cpu0", "dpu0", "cpu0"]
 
 
+def test_single_stage_chain_runs(runtime):
+    # A one-stage chain is a one-node DAG: no edges, and the stage
+    # replies to the gateway itself.
+    cpu = runtime.machine.host_cpu
+    solo = Chain("solo", (ChainStage("f0", 512),))
+    runtime.run(runtime.dag.prepare(solo, [cpu]))
+    result = runtime.run(runtime.run_chain(solo, [cpu]))
+    assert result.edge_latencies_s == []
+    assert result.exec_s == pytest.approx(3.78e-3, rel=0.01)
+    assert result.comm_s > 0
+
+
+def test_chain_runs_as_a_path_graph():
+    dag = ALEXA.as_dag()
+    assert dag.nodes == ALEXA.function_names
+    assert [(e.src, e.dst) for e in dag.edges] == ALEXA.edges
+    assert dag.entry == "f0" and dag.sinks == ["f4"]
+    assert dag.reply_bytes == ALEXA.stages[-1].payload_out_bytes
+
+
+def test_chain_repeating_a_function_is_rejected(runtime):
+    # A path graph names nodes by function, so a repeat is a cycle.
+    cpu = runtime.machine.host_cpu
+    loop = Chain("loop", (ChainStage("f0"), ChainStage("f1"), ChainStage("f0")))
+    with pytest.raises(WorkloadError, match="cycle"):
+        runtime.run(runtime.dag.prepare(loop, [cpu] * 3))
+
+
 def test_fpga_chain_shm_beats_copying():
     # Fig. 13: data retention (shm) ~2x better at 5 chained functions.
     from repro.core import run_fpga_chain

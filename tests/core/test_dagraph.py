@@ -10,9 +10,9 @@ from repro import (
     PuKind,
     WorkProfile,
 )
-from repro.core.dagraph import (
+from repro.core.dag import (
     DagEdge,
-    DagGraphEngine,
+    DagEngine,
     FunctionDag,
     alexa_tree,
 )
@@ -44,6 +44,14 @@ def test_dag_rejects_cycles():
 def test_dag_requires_single_entry():
     with pytest.raises(WorkloadError):
         FunctionDag("two-roots", [DagEdge("a", "c"), DagEdge("b", "c")])
+
+
+def test_single_node_dag():
+    dag = FunctionDag("solo", [], nodes=["a"])
+    assert dag.nodes == ["a"]
+    assert dag.entry == "a"
+    assert dag.sinks == ["a"]
+    assert dag.edges == []
 
 
 def test_alexa_tree_shape():
@@ -115,7 +123,7 @@ def runtime():
 
 def test_alexa_tree_executes_end_to_end(runtime):
     dag = alexa_tree()
-    engine = DagGraphEngine(runtime)
+    engine = DagEngine(runtime)
     placements = engine.co_locate(dag, runtime.machine.host_cpu)
     runtime.run(engine.prepare(dag, placements))
     result = runtime.run(engine.run(dag, placements))
@@ -136,7 +144,7 @@ def test_fanout_branches_run_concurrently(runtime):
     # door and light execute in parallel after smarthome: the tree's
     # total is far less than a serialized 5-stage chain would be.
     dag = alexa_tree()
-    engine = DagGraphEngine(runtime)
+    engine = DagEngine(runtime)
     placements = engine.co_locate(dag, runtime.machine.host_cpu)
     runtime.run(engine.prepare(dag, placements))
     result = runtime.run(engine.run(dag, placements))
@@ -158,7 +166,7 @@ def test_fan_in_waits_for_all_predecessors(runtime):
             DagEdge("interact", "join"),
         ],
     )
-    engine = DagGraphEngine(runtime)
+    engine = DagEngine(runtime)
     placements = engine.co_locate(dag, runtime.machine.host_cpu)
     runtime.run(engine.prepare(dag, placements))
     result = runtime.run(engine.run(dag, placements))
@@ -168,7 +176,7 @@ def test_fan_in_waits_for_all_predecessors(runtime):
 
 def test_cross_pu_dag_edges_use_nipc(runtime):
     dag = alexa_tree()
-    engine = DagGraphEngine(runtime)
+    engine = DagEngine(runtime)
     cpu, dpu = runtime.machine.host_cpu, runtime.machine.pu(1)
     placements = {
         "frontend": cpu, "interact": dpu, "smarthome": cpu,
@@ -183,7 +191,7 @@ def test_cross_pu_dag_edges_use_nipc(runtime):
 
 def test_run_requires_prepared_instances(runtime):
     dag = alexa_tree()
-    engine = DagGraphEngine(runtime)
+    engine = DagEngine(runtime)
     placements = engine.co_locate(dag, runtime.machine.host_cpu)
     with pytest.raises(SchedulingError):
         runtime.run(engine.run(dag, placements))
@@ -191,6 +199,6 @@ def test_run_requires_prepared_instances(runtime):
 
 def test_prepare_requires_full_placement(runtime):
     dag = alexa_tree()
-    engine = DagGraphEngine(runtime)
+    engine = DagEngine(runtime)
     with pytest.raises(SchedulingError):
         runtime.run(engine.prepare(dag, {"frontend": runtime.machine.host_cpu}))

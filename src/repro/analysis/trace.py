@@ -86,31 +86,42 @@ class Tracer:
 
     def find(self, name: str) -> list[Span]:
         """All spans with ``name``, depth-first."""
-        found = []
-
-        def walk(span):
-            if span.name == name:
-                found.append(span)
-            for child in span.children:
-                walk(child)
-
-        for root in self.roots:
-            walk(root)
-        return found
+        return find_spans(self.roots, name)
 
     def render(self) -> str:
         """An indented text timeline of all closed root spans."""
-        lines: list[str] = []
+        return render_spans(self.roots)
 
-        def walk(span, depth):
-            duration = "OPEN" if span.open else f"{span.duration_s * 1e3:9.3f} ms"
-            lines.append(f"{'  ' * depth}{span.name:<24} {duration}")
-            for child in span.children:
-                walk(child, depth + 1)
 
-        for root in self.roots:
-            walk(root, 0)
-        return "\n".join(lines)
+def find_spans(roots: list[Span], name: str) -> list[Span]:
+    """All spans named ``name`` in the trees under ``roots``,
+    depth-first."""
+    found = []
+
+    def walk(span):
+        if span.name == name:
+            found.append(span)
+        for child in span.children:
+            walk(child)
+
+    for root in roots:
+        walk(root)
+    return found
+
+
+def render_spans(roots: list[Span]) -> str:
+    """An indented text timeline of the trees under ``roots``."""
+    lines: list[str] = []
+
+    def walk(span, depth):
+        duration = "OPEN" if span.open else f"{span.duration_s * 1e3:9.3f} ms"
+        lines.append(f"{'  ' * depth}{span.name:<24} {duration}")
+        for child in span.children:
+            walk(child, depth + 1)
+
+    for root in roots:
+        walk(root, 0)
+    return "\n".join(lines)
 
 
 class _SpanContext:

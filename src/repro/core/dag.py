@@ -16,7 +16,6 @@ message has arrived, then writes every successor's FIFO.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, TYPE_CHECKING
 
@@ -213,7 +212,6 @@ class DagEngine:
 
     def __init__(self, runtime: "MoleculeRuntime"):
         self.runtime = runtime
-        self._uuid_seq = itertools.count(1)
 
     @property
     def sim(self):
@@ -283,7 +281,8 @@ class DagEngine:
         }
         host_shim = cluster.shim_on(runtime.machine.host_cpu.pu_id)
         gateway = runtime.group
-        response_uuid = f"resp-{next(self._uuid_seq)}"
+        uuid_seq = cluster.fifo_seq
+        response_uuid = f"resp-{next(uuid_seq)}"
         fifos = {}
         #: node -> [(write handle, message bytes)] in edge order.
         out_handles: dict[str, list] = {node: [] for node in nodes}
@@ -303,7 +302,7 @@ class DagEngine:
             gateway, response_uuid, response_uuid
         )
         for node in nodes:
-            uuid = f"{dag.name}-{node}-{next(self._uuid_seq)}"
+            uuid = f"{dag.name}-{node}-{next(uuid_seq)}"
             fifos[node] = yield from shims[node].xfifo_init(groups[node], uuid, uuid)
         for edge in dag.edges:
             handle = yield from wire(shims[edge.dst], groups[edge.dst],
@@ -357,6 +356,11 @@ class DagEngine:
         for node, instance in instances.items():
             pools[placements[node].pu_id].release(instance, now=self.sim.now)
         runtime.invoker.notify_idle()
+        self._teardown(
+            [response, entry, *fifos.values(),
+             *(handle for out in out_handles.values() for handle, _ in out)],
+            groups.values(),
+        )
         return DagRunResult(
             dag=dag.name,
             total_s=total_s,
@@ -383,6 +387,22 @@ class DagEngine:
             edge_latencies_s=[result.edge_latencies_s[e] for e in chain.edges],
             placements=[pu.name for pu in placements],
         )
+
+    def _teardown(self, handles, groups) -> None:
+        """Close one request's FIFO descriptors, drop its FIFOs and
+        per-node CAP groups from the captable, and revoke the gateway's
+        rights on them.  Like the setup, it takes no sim time: every
+        message has been read by the time the last sink replies."""
+        runtime = self.runtime
+        captable = runtime.cluster.captable
+        for handle in handles:
+            if handle.close() == 0:
+                fifo = handle.fifo
+                fifo.closed = True
+                captable.drop_object(fifo.obj_id)
+                runtime.group.remove(fifo.obj_id, Permission.ALL)
+        for group in groups:
+            captable.drop_group(group.xpu_pid)
 
     @staticmethod
     def _msg_time(instance, pu) -> float:

@@ -320,11 +320,12 @@ def build_runtime(
 ):
     """Boot a two-DPU deployment for ``plan`` behind a sharded front end.
 
-    Per-stage percentiles come from the samples the observability hub
-    streams, so its trace ring keeps only recent traces.  ``prewarm``
-    arms the warm-path engine (cold-start coalescing + predictive
-    pre-warm); ``hedge`` arms the tail-latency hedging engine (pass
-    True for defaults or a HedgeConfig for full control);
+    The report reads per-stage percentiles from the samples the
+    observability hub streams and no trace, so the hub retains none
+    (``max_traces=0``).  ``prewarm`` arms the warm-path engine
+    (cold-start coalescing + predictive pre-warm); ``hedge`` arms the
+    tail-latency hedging engine (pass True for defaults or a
+    HedgeConfig for full control);
     ``hedge_percentile`` overrides its trigger percentile and
     ``hedge_budget`` its clone token-bucket ratio, and either one
     implies ``hedge``.  ``overload`` arms the overload controller (True
@@ -338,7 +339,7 @@ def build_runtime(
     """
     sim = Simulator()
     machine = build_cpu_dpu_machine(sim)
-    obs = Observability(sim)
+    obs = Observability(sim, max_traces=0)
     hedging = None
     if hedge or hedge_percentile is not None or hedge_budget is not None:
         from repro.hedging import HedgeConfig

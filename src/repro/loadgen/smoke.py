@@ -99,12 +99,14 @@ ROWS: tuple[Row, ...] = (
                Warn("p99 regressed >20% vs the checked-in report", _P99,
                     lambda on, base: on > 1.2 * base,
                     baseline="BENCH_load_cache.json"))),
-    # Determinism rows.  The quick burst stays inside the 1,024-trace
-    # ring; the 60 s burst (~3.4k requests) evicts traces too.  The
-    # chaos mix (overload control, hedging and the warm path with the
-    # scenario's mid-run DPU crash) is the engine mix whose deadline
-    # races and nested trace proxies are easiest to perturb; the
-    # all-engines row adds the result cache on a pinched gate (the
+    # Determinism rows.  A load replay retains no request trace, so
+    # the 60 s burst (~3.4k requests) differs from the quick one only
+    # in length: it checks the streamed stage samples and metric
+    # series for determinism over a longer run.  The chaos mix
+    # (overload control, hedging and the warm path with the scenario's
+    # mid-run DPU crash) is the engine mix whose deadline races and
+    # nested trace proxies are easiest to perturb; the all-engines row
+    # adds the result cache on a pinched gate (the
     # tests/loadgen/test_golden_all_engines.py replay).
     Row("burst quick", "--scenario burst --quick --seed 11",
         output="BENCH_load.json"),

@@ -187,8 +187,9 @@ class Observability:
     """Metrics registry + lifecycle trace sink for one runtime.
 
     Only the ``max_traces`` most recent traces are kept, so their
-    memory does not grow with run length; every completed request's
-    phase durations stream into :attr:`stage_samples` instead.
+    memory does not grow with run length (``max_traces=0`` keeps
+    none); every completed request's phase durations stream into
+    :attr:`stage_samples` and the metric families instead.
     """
 
     def __init__(self, sim, max_traces: int = 1024):
@@ -211,7 +212,7 @@ class Observability:
         self._request_series: dict[tuple, tuple] = {}
 
     def begin_invocation(self, function: str) -> RequestTrace:
-        """Open the span tree for one request."""
+        """Open the span recorder for one request."""
         return RequestTrace(self, function)
 
     def record(self, trace: RequestTrace) -> None:
@@ -222,8 +223,7 @@ class Observability:
         phase the request repeated (a retry) reaches the stage samples
         once, with its last duration, as in ``RequestTrace.phases()``.
         """
-        root = trace.root
-        attrs = root.attributes
+        attrs = trace.attributes
         labels = (
             str(attrs.get("function", trace.function)),
             str(attrs.get("pu_kind", "unknown")),
@@ -234,14 +234,16 @@ class Observability:
             series = self._resolve_request_series(labels)
         requests, latency, starts, phase_series = series
         requests.inc()
-        # A finished trace's root and phases are closed (Tracer.end
-        # refuses to close the root over an open phase).
-        latency.observe(root.end_s - root.begin_s)
+        # A finished trace's root and phases are closed (finish refuses
+        # to close the root over an open phase).
+        latency.observe(trace.end_s - trace.begin_s)
         starts.inc()
         last: dict[str, float] = {}
-        for child in root.children:
-            name = child.name
-            duration_s = child.end_s - child.begin_s
+        for span in trace.spans:
+            if span.parent >= 0:
+                continue
+            name = span.name
+            duration_s = span.end_s - span.begin_s
             histogram = phase_series.get(name)
             if histogram is None:
                 histogram = phase_series[name] = (
@@ -266,7 +268,7 @@ class Observability:
 
     def record_failure(self, trace: RequestTrace) -> None:
         """Count an abandoned trace without polluting the histograms."""
-        error = str(trace.root.attributes.get("error", "unknown"))
+        error = str(trace.attributes.get("error", "unknown"))
         self.metrics.failures_total.child(str(trace.function), error).inc()
         self.traces.append(trace)
 
@@ -282,6 +284,5 @@ class Observability:
         shed)."""
         return [
             t for t in self.traces
-            if "error" not in t.root.attributes
-            and "shed" not in t.root.attributes
+            if "error" not in t.attributes and "shed" not in t.attributes
         ]

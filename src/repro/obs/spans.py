@@ -1,8 +1,8 @@
 """Per-invocation lifecycle spans over the simulated clock.
 
-Each admitted request gets a :class:`RequestTrace`: a
-:class:`~repro.analysis.trace.Tracer` of its own whose root ``request``
-span holds the lifecycle phases the paper's breakdowns reason about::
+Each admitted request gets a :class:`RequestTrace`: a flat recorder of
+its own whose root ``request`` span holds the lifecycle phases the
+paper's breakdowns reason about::
 
     request{function, request_id, pu, pu_kind, start_kind}
       admit           gateway admission
@@ -13,9 +13,14 @@ span holds the lifecycle phases the paper's breakdowns reason about::
         nipc          accelerator DMA transfers (transport="dma")
       respond         pool release + billing
 
-A per-request tracer (rather than one global tracer) is what makes the
-trees correct under concurrency: interleaved requests in the simulator
-would corrupt a single tracer's span stack.
+A per-request recorder (rather than one global tracer) is what makes
+the trees correct under concurrency: interleaved requests in the
+simulator would corrupt a single tracer's span stack.
+
+The recorder builds no span tree while the request runs: every span is
+one :class:`SpanRecord` in one list, linked to its parent by index.
+The :class:`~repro.analysis.trace.Span` tree is built on demand when a
+retained trace is read (:attr:`RequestTrace.root`).
 
 ``start_kind`` distinguishes the three start paths: ``cold`` (baseline
 container boot), ``fork`` (cfork from a template), ``warm`` (pool hit).
@@ -23,9 +28,10 @@ container boot), ``fork`` (cfork from a template), ``warm`` (pool hit).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Optional
 
-from repro.analysis.trace import Span, Tracer
+from repro.analysis.trace import Span, TraceError, find_spans, render_spans
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.observability import Observability
@@ -63,40 +69,84 @@ START_FANOUT = "fanout"
 FANOUT_STAGES = ("partition", "fanout", "gather", "reduce")
 
 
-class RequestTrace(Tracer):
-    """The span tree of one request, recorded against sim time."""
+class SpanRecord:
+    """One span of a request, as its recorder keeps it.
 
-    __slots__ = ("obs", "function", "root", "finished")
+    ``parent`` is the index of the enclosing span in the recorder's
+    :attr:`~RequestTrace.spans` list, or -1 under the root.
+    """
+
+    __slots__ = ("name", "begin_s", "end_s", "attributes", "parent")
+
+    def __init__(self, name: str, begin_s: float, attributes: dict,
+                 parent: int):
+        self.name = name
+        self.begin_s = begin_s
+        self.end_s: Optional[float] = None
+        self.attributes = attributes
+        self.parent = parent
+
+
+class RequestTrace:
+    """The spans of one request, recorded flat against sim time.
+
+    The root ``request`` span is the recorder itself (``begin_s``,
+    ``end_s`` and the root ``attributes``); every nested span is a
+    :class:`SpanRecord` in :attr:`spans`, in begin order.
+    """
+
+    __slots__ = ("obs", "sim", "function", "attributes", "begin_s",
+                 "end_s", "spans", "_open")
 
     def __init__(self, obs: "Observability", function: str):
-        # Built directly rather than through Tracer.__init__ + begin:
-        # one of these is made per request.
-        self.sim = sim = obs.sim
         self.obs = obs
+        self.sim = sim = obs.sim
         self.function = function
-        root = Span("request", sim._now, None, [], {"function": function})
-        self.root = root
-        self.roots = [root]
-        self._stack = [root]
-        self.finished = False
+        self.attributes: dict[str, object] = {"function": function}
+        self.begin_s = sim._now
+        self.end_s: Optional[float] = None
+        self.spans: list[SpanRecord] = []
+        #: Index of the innermost open span in ``spans`` (-1: the root).
+        self._open = -1
 
-    #: Open a span nested under the innermost open one.
-    begin_phase = Tracer.begin
-    #: Close the innermost open span.
-    end_phase = Tracer.end
-    #: Context-manager form of begin/end.
-    phase = Tracer.span
+    def begin_phase(self, name: str, **attributes) -> SpanRecord:
+        """Open a span nested under the innermost open one."""
+        spans = self.spans
+        record = SpanRecord(name, self.sim._now, attributes, self._open)
+        self._open = len(spans)
+        spans.append(record)
+        return record
+
+    def end_phase(self, span: SpanRecord) -> None:
+        """Close a span; must be the innermost open one."""
+        index = self._open
+        if index < 0 or self.spans[index] is not span:
+            raise TraceError(
+                f"span {span.name!r} is not the innermost open span"
+            )
+        span.end_s = self.sim._now
+        self._open = span.parent
+
+    @contextmanager
+    def phase(self, name: str, **attributes):
+        """Context-manager form of begin/end."""
+        span = self.begin_phase(name, **attributes)
+        try:
+            yield span
+        finally:
+            self.end_phase(span)
 
     def annotate(self, **attributes) -> None:
         """Attach attributes to the root ``request`` span."""
-        self.root.attributes.update(attributes)
+        self.attributes.update(attributes)
 
     def finish(self) -> None:
         """Close the request span and publish the trace's metrics."""
-        if self.finished:
+        if self.end_s is not None:
             return
-        self.end(self.root)
-        self.finished = True
+        if self._open >= 0:
+            raise TraceError("span 'request' is not the innermost open span")
+        self.end_s = self.sim._now
         self.obs.record(self)
 
     def fail(self, error: str) -> None:
@@ -115,28 +165,57 @@ class RequestTrace(Tracer):
         self._abandon(self.obs.record_shed, shed=reason)
 
     def _abandon(self, record, **tag) -> None:
-        if self.finished:
+        if self.end_s is not None:
             return
-        self.unwind(keep=0)
-        self.finished = True
-        self.annotate(**tag)
+        self.unwind()
+        self.end_s = self.sim._now
+        self.attributes.update(tag)
         record(self)
 
-    def unwind(self, keep: int = 1) -> None:
-        """Close open spans, innermost first, until only the outer
-        ``keep`` stay open (by default the root ``request`` span).
+    def unwind(self) -> None:
+        """Close every open span under the root, innermost first.
 
         The retry loop calls this between attempts: a failed or
         abandoned attempt leaves its phase spans open, and the next
         attempt's spans must nest directly under the root again.
         """
-        stack = self._stack
-        while len(stack) > keep:
-            self.end(stack[-1])
+        spans = self.spans
+        now = self.sim._now
+        index = self._open
+        while index >= 0:
+            span = spans[index]
+            span.end_s = now
+            index = span.parent
+        self._open = -1
+
+    # -- the read side: span trees built on demand ------------------------------
+
+    @property
+    def root(self) -> Span:
+        """The root ``request`` span with its tree of child spans,
+        built afresh from the flat records (attribute dicts are
+        shared, not copied)."""
+        root = Span("request", self.begin_s, self.end_s, [], self.attributes)
+        built: list[Span] = []
+        for record in self.spans:
+            span = Span(record.name, record.begin_s, record.end_s, [],
+                        record.attributes)
+            parent = record.parent
+            (root if parent < 0 else built[parent]).children.append(span)
+            built.append(span)
+        return root
 
     def phases(self) -> dict[str, float]:
         """Phase name -> duration (direct children of the root)."""
         return {span.name: span.duration_s for span in self.root.children}
+
+    def find(self, name: str) -> list[Span]:
+        """All spans with ``name``, depth-first."""
+        return find_spans([self.root], name)
+
+    def render(self) -> str:
+        """An indented text timeline of the span tree."""
+        return render_spans([self.root])
 
 
 class _NullSpan:

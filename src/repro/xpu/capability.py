@@ -158,6 +158,10 @@ class CapabilityTable:
         except KeyError:
             raise UnknownObjectError(f"no distributed object {obj_id}") from None
 
+    def known_objects(self) -> list[ObjectId]:
+        """All registered distributed object ids."""
+        return sorted(self._objects, key=str)
+
     def has_object(self, obj_id: ObjectId) -> bool:
         """True if the object is registered."""
         return obj_id in self._objects

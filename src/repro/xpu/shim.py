@@ -96,6 +96,10 @@ class ShimCluster:
         self.sync = SyncManager(sim, machine)
         self.shims: dict[int, "XpuShim"] = {}
         self._uid_counters: dict[int, itertools.count] = {}
+        #: Sequence numbers for the FIFO uuids minted per DAG request,
+        #: shared by every DAG engine on the machine so their global
+        #: uuids never collide.
+        self.fifo_seq = itertools.count(1)
         #: Optional :class:`repro.obs.Observability` hub; every shim
         #: instance reports XPUcall and nIPC metrics through it.
         self.obs = obs

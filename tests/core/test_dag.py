@@ -215,3 +215,56 @@ def test_fpga_chain_shm_requires_retention():
     with pytest.raises(WorkloadError):
         proc = sim.spawn(run_fpga_chain(runf, ["x"], mode="shm"))
         sim.run()
+
+
+def _captable_sizes(runtime):
+    captable = runtime.cluster.captable
+    return (
+        len(captable.known_objects()),
+        len(captable.known_pids()),
+        len(runtime.group.capabilities()),
+    )
+
+
+def test_chain_requests_leave_no_fifos_or_cap_groups(runtime):
+    # Each request opens a response FIFO plus a FIFO and a CAP group
+    # per node; all of them go when it settles.
+    cpu, dpu = runtime.machine.host_cpu, runtime.machine.pu(1)
+    placements = [cpu, dpu, cpu, dpu, cpu]
+    runtime.run(runtime.dag.prepare(ALEXA, placements))
+    before = _captable_sizes(runtime)
+    for _ in range(3):
+        runtime.run(runtime.run_chain(ALEXA, placements))
+        assert _captable_sizes(runtime) == before
+
+
+def test_dag_engines_share_one_fifo_uuid_sequence(runtime):
+    # A second engine on the same runtime mints its FIFO uuids from
+    # the runtime-wide sequence, so neither a later nor a concurrent
+    # request on ``runtime.dag`` reuses one of them.
+    from repro.core.dag import DagEngine, alexa_tree
+
+    tree = alexa_tree()
+    for name in tree.nodes:
+        runtime.deploy_now(chain_fn(name))
+    cpu = runtime.machine.host_cpu
+    engine = DagEngine(runtime)
+    tree_placements = engine.co_locate(tree, cpu)
+    runtime.run(engine.prepare(tree, tree_placements))
+    runtime.run(runtime.dag.prepare(ALEXA, [cpu] * 5))
+    runtime.run(engine.run(tree, tree_placements))
+    chain = runtime.run(runtime.run_chain(ALEXA, [cpu] * 5))
+    assert len(chain.edge_latencies_s) == 4
+
+    def both():
+        sim = runtime.sim
+        runs = [
+            sim.spawn(engine.run(tree, tree_placements)),
+            sim.spawn(runtime.run_chain(ALEXA, [cpu] * 5)),
+        ]
+        yield sim.all_of(runs)
+        return [run.value for run in runs]
+
+    tree_result, chain_result = runtime.run(both())
+    assert len(tree_result.edge_latencies_s) == 4
+    assert len(chain_result.edge_latencies_s) == 4

@@ -6,8 +6,9 @@ For every configuration the test pins each registered family's
 order, both right after boot and after a short run plus a metrics
 snapshot, so a family that moves to a different registration moment
 shows up too.  It also pins the byte output of ``repro metrics`` and
-``repro metrics --json``, and checks that ``docs/observability.md``
-lists every family any configuration registers.
+``repro metrics --json`` (on the default trace ring and on a hub that
+retains no trace), and checks that ``docs/observability.md`` lists
+every family any configuration registers.
 
 Regenerate the data file only for an intended catalog change::
 
@@ -23,9 +24,12 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.core import molecule
 from repro.loadgen import scenarios
 from repro.loadgen.arrivals import ArrivalPlan
+from repro.obs import Observability
 
 DATA = Path(__file__).parent / "data" / "catalog_golden.json"
 DOCS = Path(__file__).parents[2] / "docs" / "observability.md"
@@ -123,10 +127,39 @@ def _capture(monkeypatch) -> dict:
     }
 
 
+def _demo_outputs(monkeypatch, max_traces=None) -> dict:
+    """``repro metrics`` text and JSON, plus the demo runtime's stage
+    samples, on hubs whose trace ring keeps ``max_traces`` traces
+    (None: the default ring)."""
+    runtimes = []
+    demo = cli._run_metrics_demo
+
+    def recording_demo():
+        runtimes.append(demo())
+        return runtimes[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_run_metrics_demo", recording_demo)
+        if max_traces is not None:
+            patch.setattr(molecule, "Observability",
+                          lambda sim: Observability(sim, max_traces=max_traces))
+        outputs = {"metrics_text": _cli(), "metrics_json": _cli("--json")}
+    if max_traces == 0:
+        assert not any(r.obs.traces for r in runtimes)
+    outputs["stage_samples"] = [
+        {name: list(values) for name, values in r.obs.stage_samples.items()}
+        for r in runtimes
+    ]
+    return outputs
+
+
 @pytest.fixture(scope="module")
 def captured():
     with pytest.MonkeyPatch.context() as monkeypatch:
-        yield _capture(monkeypatch)
+        data = _capture(monkeypatch)
+        data["ring"] = _demo_outputs(monkeypatch)
+        data["no_ring"] = _demo_outputs(monkeypatch, max_traces=0)
+        yield data
 
 
 @pytest.fixture(scope="module")
@@ -153,8 +186,15 @@ def test_engine_off_runs_register_no_engine_family(golden):
         assert not row[0].startswith(engine_prefixes), row[0]
 
 
-@pytest.mark.parametrize("output", ("metrics_text", "metrics_json"))
+@pytest.mark.parametrize(
+    "output", ("metrics_text", "metrics_json", "no_ring")
+)
 def test_metrics_cli_output_is_byte_identical(captured, golden, output):
+    if output == "no_ring":
+        # A hub that retains no trace publishes the same exposition and
+        # the same stage samples as the default ring.
+        assert captured["no_ring"] == captured["ring"]
+        output = "metrics_text"
     assert captured[output] == golden[output]
 
 

@@ -10,13 +10,12 @@ from repro.analysis.report import (
     normalized,
 )
 from repro.analysis.stats import LatencyStats, LatencySummary, percentile
-from repro.analysis.trace import Span, Tracer
+from repro.analysis.trace import Span
 
 __all__ = [
     "LatencyStats",
     "LatencySummary",
     "Span",
-    "Tracer",
     "format_artifact_block",
     "format_comparison",
     "format_phase_breakdown",

@@ -1,11 +1,12 @@
-"""Lightweight span tracing over simulated time.
+"""The read side of span tracing over simulated time.
 
-A :class:`Tracer` records nested spans (request -> startup -> exec ->
-comm ...) against the simulation clock, giving experiments and users a
-structured timeline of where a request's latency went — the breakdowns
-behind Fig. 10/11 style analyses.  A span holds its children but no
-link back to its parent, so a finished tree is acyclic and reference
-counting frees it.
+A :class:`Span` is one named interval of a request's timeline (request
+-> startup -> exec -> comm ...), the breakdowns behind Fig. 10/11 style
+analyses.  :class:`repro.obs.spans.RequestTrace` records a request's
+spans flat and builds its :class:`Span` tree on demand;
+:func:`find_spans` and :func:`render_spans` read such trees.  A span
+holds its children but no link back to its parent, so a finished tree
+is acyclic and reference counting frees it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ReproError
-from repro.sim import Simulator
 
 
 class TraceError(ReproError):
@@ -48,51 +48,6 @@ class Span:
         return self.duration_s - sum(child.duration_s for child in self.children)
 
 
-class Tracer:
-    """Records a tree of spans per logical trace."""
-
-    __slots__ = ("sim", "roots", "_stack")
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self.roots: list[Span] = []
-        self._stack: list[Span] = []
-
-    # begin/end run several times per simulated request, so they read
-    # the kernel's raw clock and build spans positionally.
-
-    def begin(self, name: str, **attributes) -> Span:
-        """Open a span nested under the innermost open one."""
-        stack = self._stack
-        span = Span(name, self.sim._now, None, [], attributes)
-        (stack[-1].children if stack else self.roots).append(span)
-        stack.append(span)
-        return span
-
-    def end(self, span: Span) -> Span:
-        """Close a span; must be the innermost open one."""
-        stack = self._stack
-        if not stack or stack[-1] is not span:
-            raise TraceError(f"span {span.name!r} is not the innermost open span")
-        if span.end_s is not None:
-            raise TraceError(f"span {span.name!r} already closed")
-        span.end_s = self.sim._now
-        stack.pop()
-        return span
-
-    def span(self, name: str, **attributes) -> "_SpanContext":
-        """Context manager form: ``with tracer.span("exec"): ...``."""
-        return _SpanContext(self, name, attributes)
-
-    def find(self, name: str) -> list[Span]:
-        """All spans with ``name``, depth-first."""
-        return find_spans(self.roots, name)
-
-    def render(self) -> str:
-        """An indented text timeline of all closed root spans."""
-        return render_spans(self.roots)
-
-
 def find_spans(roots: list[Span], name: str) -> list[Span]:
     """All spans named ``name`` in the trees under ``roots``,
     depth-first."""
@@ -122,19 +77,3 @@ def render_spans(roots: list[Span]) -> str:
     for root in roots:
         walk(root, 0)
     return "\n".join(lines)
-
-
-class _SpanContext:
-    def __init__(self, tracer: Tracer, name: str, attributes: dict):
-        self.tracer = tracer
-        self.name = name
-        self.attributes = attributes
-        self.span: Optional[Span] = None
-
-    def __enter__(self) -> Span:
-        self.span = self.tracer.begin(self.name, **self.attributes)
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        assert self.span is not None
-        self.tracer.end(self.span)

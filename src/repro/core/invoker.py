@@ -54,7 +54,6 @@ from repro.core.records import Attempt, FunctionInstance, InvocationResult
 from repro.core.registry import FunctionDef
 from repro.core.reliability import DeadLetter, RetryPolicy
 from repro.obs.spans import (
-    DetachableTrace,
     NULL_TRACE,
     START_COALESCED,
     START_COLD,
@@ -300,8 +299,10 @@ class Invoker:
         and the attempt is *orphaned*: a new process adopts it in our
         callback slot and finishes it in the background so every
         resource it holds (cores, DRAM, pool slots) is released through
-        the normal paths, while its trace proxy is detached so it can
-        no longer touch this request's span tree.
+        the normal paths.  The orphan keeps writing to the request's
+        trace, which :meth:`invoke` closes in the same step (a closed
+        trace ignores late writes), so it can no longer touch the
+        request's span tree.
         """
         sim = self.runtime.sim
         function = request.function
@@ -322,11 +323,9 @@ class Invoker:
                     function.name, dispatch_kind.value, attempt_kind.value
                 ).inc()
                 trace.annotate(degraded=True)
-                attempt = request.copy(attempt_kind, None, DetachableTrace(trace))
+                attempt = request.copy(attempt_kind, None, trace)
             else:
-                attempt = request.copy(
-                    request.kind, request.pu, DetachableTrace(trace)
-                )
+                attempt = request.copy(request.kind, request.pu, trace)
             if hedger is not None and hedger.eligible(
                 function, attempt.kind, attempt_kind, attempt.pu,
                 request.force_cold,
@@ -378,7 +377,6 @@ class Invoker:
                 if cell[1]:
                     # The timer fired before the attempt answered: it
                     # was orphaned, or failed behind the deadline's wake.
-                    attempt.trace.detach()
                     trace.unwind()
                     self._expire(request, attempts, errors)
             # -- transient or terminal failure --------------------------------------

@@ -98,10 +98,9 @@ class Attempt:
     """One attempt at serving a request: what it runs, and where.
 
     :meth:`repro.core.invoker.Invoker.invoke` builds the request's own
-    record; the retry
-    loop copies it once per attempt (with the kind and PU that attempt
-    resolved to, and a severable trace proxy), and a hedged race copies
-    the attempt once per racing copy.
+    record; the retry loop copies it once per attempt (with the kind
+    and PU that attempt resolved to, writing to the request's trace),
+    and a hedged race copies the attempt once per racing copy.
     """
 
     function: FunctionDef

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import HedgeCancelled, ReproError, SchedulingError
 from repro.hedging.tracker import LatencyTracker
 from repro.obs.metrics import MetricSpec
-from repro.obs.spans import DetachableTrace, NULL_TRACE, START_HEDGED
+from repro.obs.spans import NULL_TRACE, START_HEDGED
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.molecule import MoleculeRuntime
@@ -470,14 +470,13 @@ def hedge_stage(invoker, hedger, attempt):
     function, request_id = attempt.function, attempt.request_id
     state = hedger.begin(function, request_id)
     state.pending = 1
-    shield = attempt.trace
-    # The primary writes its spans through its own severable proxy: if
-    # the clone wins, the primary is detached exactly like a
-    # deadline-orphaned attempt, and keeps running only to release its
-    # resources through the normal paths.
-    primary = attempt.copy(
-        attempt.kind, attempt.pu, DetachableTrace(shield), state, "primary"
-    )
+    trace = attempt.trace
+    # The primary writes its spans to the request's trace.  If the
+    # clone wins, the primary is orphaned exactly like a
+    # deadline-orphaned attempt: it keeps running only to release its
+    # resources through the normal paths, and the request closes its
+    # trace in the same step, so the primary's late writes are dropped.
+    primary = attempt.copy(attempt.kind, attempt.pu, trace, state, "primary")
     sim.spawn(
         _race_copy(invoker, hedger, primary),
         name=f"hedge-primary:{function.name}#{request_id}",
@@ -511,11 +510,10 @@ def hedge_stage(invoker, hedger, attempt):
     tag, result, placement = state.winner
     attempt.placed, attempt.epoch = placement
     if tag == "clone":
-        # The primary lost: sever its span proxy, close its dangling
-        # phase spans, and restamp the root with the clone's identity.
-        primary.trace.detach()
-        shield.unwind()
-        shield.annotate(
+        # The primary lost: close its dangling phase spans and restamp
+        # the root with the clone's identity.
+        trace.unwind()
+        trace.annotate(
             pu=result.pu_name,
             pu_kind=result.pu_kind.value,
             start_kind=START_HEDGED,
@@ -523,7 +521,7 @@ def hedge_stage(invoker, hedger, attempt):
     if state.fired:
         result.hedged = True
         result.hedge_winner = tag
-        shield.annotate(hedged=True)
+        trace.annotate(hedged=True)
     return result
 
 

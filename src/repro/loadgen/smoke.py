@@ -105,8 +105,8 @@ ROWS: tuple[Row, ...] = (
     # series for determinism over a longer run.  The chaos mix
     # (overload control, hedging and the warm path with the scenario's
     # mid-run DPU crash) is the engine mix whose deadline races and
-    # nested trace proxies are easiest to perturb; the all-engines row
-    # adds the result cache on a pinched gate (the
+    # orphaned hedge primaries are easiest to perturb; the all-engines
+    # row adds the result cache on a pinched gate (the
     # tests/loadgen/test_golden_all_engines.py replay).
     Row("burst quick", "--scenario burst --quick --seed 11",
         output="BENCH_load.json"),

@@ -22,7 +22,6 @@ from repro.obs.observability import Observability
 from repro.obs.spans import (
     LIFECYCLE_PHASES,
     NULL_TRACE,
-    NullRequestTrace,
     RequestTrace,
     START_COLD,
     START_FORK,
@@ -39,7 +38,6 @@ __all__ = [
     "MetricSpec",
     "MetricsRegistry",
     "NULL_TRACE",
-    "NullRequestTrace",
     "Observability",
     "ObsError",
     "RequestTrace",

@@ -437,16 +437,28 @@ class MetricsRegistry:
         self._families: dict[str, MetricFamily] = {}
         self._specs: dict[str, MetricSpec] = {}
 
-    def _register(self, spec: MetricSpec) -> MetricFamily:
+    def register(self, spec: MetricSpec) -> MetricFamily:
+        """Get-or-register the family ``spec`` declares.
+
+        The first call registers it; a repeat with the same schema
+        returns the existing family, and one with a different kind,
+        help text, labels or buckets raises :class:`ObsError`.
+        """
         spec = _normalized(spec)
         name = spec.name
+        family = self._families.get(name)
+        if family is not None:
+            if self._specs[name] != spec:
+                raise ObsError(
+                    f"metric {name!r} already registered as "
+                    f"{self._specs[name]}; conflicting spec {spec}"
+                )
+            return family
         if not _NAME_RE.match(name):
             raise ObsError(f"invalid metric name: {name!r}")
         for label in spec.labelnames:
             if not _LABEL_RE.match(label) or label == "le":
                 raise ObsError(f"invalid label name for {name!r}: {label!r}")
-        if name in self._families:
-            raise ObsError(f"metric {name!r} already registered")
         factory = _INSTRUMENTS[spec.kind]
         if spec.buckets is not None:
             factory = partial(Histogram, spec.buckets)
@@ -458,50 +470,11 @@ class MetricsRegistry:
         self._specs[name] = spec
         return family
 
-    def register(self, spec: MetricSpec) -> MetricFamily:
-        """Get-or-register the family ``spec`` declares.
-
-        The first call registers it; a repeat with the same schema
-        returns the existing family, and one with a different kind,
-        help text, labels or buckets raises :class:`ObsError`.
-        """
-        family = self._families.get(spec.name)
-        if family is None:
-            return self._register(spec)
-        if self._specs[spec.name] != _normalized(spec):
-            raise ObsError(
-                f"metric {spec.name!r} already registered as "
-                f"{self._specs[spec.name]}; conflicting spec {spec}"
-            )
-        return family
-
     def register_table(self, table: Mapping[str, MetricSpec]) -> SimpleNamespace:
         """Get-or-register every row of ``table`` in order; returns the
         families as attributes named by the table's keys."""
         return SimpleNamespace(
             **{key: self.register(spec) for key, spec in table.items()}
-        )
-
-    def counter(self, name: str, help_text: str,
-                labelnames: Sequence[str] = ()) -> MetricFamily:
-        """Register a counter family."""
-        return self._register(MetricSpec(name, "counter", help_text, labelnames))
-
-    def gauge(self, name: str, help_text: str,
-              labelnames: Sequence[str] = ()) -> MetricFamily:
-        """Register a gauge family."""
-        return self._register(MetricSpec(name, "gauge", help_text, labelnames))
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str,
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> MetricFamily:
-        """Register a histogram family with fixed bucket boundaries."""
-        return self._register(
-            MetricSpec(name, "histogram", help_text, labelnames, tuple(buckets))
         )
 
     def get(self, name: str) -> MetricFamily:

@@ -28,7 +28,6 @@ container boot), ``fork`` (cfork from a template), ``warm`` (pool hit).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.trace import Span, TraceError, find_spans, render_spans
@@ -93,6 +92,14 @@ class RequestTrace:
     The root ``request`` span is the recorder itself (``begin_s``,
     ``end_s`` and the root ``attributes``); every nested span is a
     :class:`SpanRecord` in :attr:`spans`, in begin order.
+
+    Once :meth:`finish`, :meth:`fail` or :meth:`shed` sets ``end_s``
+    the recorder is closed, and every later write is a no-op that
+    raises nothing.  Work that outlives its request (an attempt the
+    deadline orphaned, a hedged primary that lost to its clone) keeps
+    writing to the request's recorder; the request closes it in the
+    same step that abandons that work, so the late writes never reach
+    the tree.
     """
 
     __slots__ = ("obs", "sim", "function", "attributes", "begin_s",
@@ -110,7 +117,10 @@ class RequestTrace:
         self._open = -1
 
     def begin_phase(self, name: str, **attributes) -> SpanRecord:
-        """Open a span nested under the innermost open one."""
+        """Open a span nested under the innermost open one (on a
+        closed recorder: a record nothing keeps)."""
+        if self.end_s is not None:
+            return SpanRecord(name, self.end_s, attributes, -1)
         spans = self.spans
         record = SpanRecord(name, self.sim._now, attributes, self._open)
         self._open = len(spans)
@@ -119,6 +129,8 @@ class RequestTrace:
 
     def end_phase(self, span: SpanRecord) -> None:
         """Close a span; must be the innermost open one."""
+        if self.end_s is not None:
+            return
         index = self._open
         if index < 0 or self.spans[index] is not span:
             raise TraceError(
@@ -127,18 +139,10 @@ class RequestTrace:
         span.end_s = self.sim._now
         self._open = span.parent
 
-    @contextmanager
-    def phase(self, name: str, **attributes):
-        """Context-manager form of begin/end."""
-        span = self.begin_phase(name, **attributes)
-        try:
-            yield span
-        finally:
-            self.end_phase(span)
-
     def annotate(self, **attributes) -> None:
         """Attach attributes to the root ``request`` span."""
-        self.attributes.update(attributes)
+        if self.end_s is None:
+            self.attributes.update(attributes)
 
     def finish(self) -> None:
         """Close the request span and publish the trace's metrics."""
@@ -153,7 +157,9 @@ class RequestTrace:
         """Abandon the trace on an error: unwind every open span, tag
         the root with the error, and count the failure (the phase
         histograms only ever see completed requests)."""
-        self._abandon(self.obs.record_failure, error=error)
+        if self.end_s is None:
+            self._abandon(error=error)
+            self.obs.record_failure(self)
 
     def shed(self, reason: str) -> None:
         """Abandon the trace for a load-shed request (repro.overload):
@@ -162,15 +168,14 @@ class RequestTrace:
         populations — a shed is deliberate back-pressure, not an
         error, and must not skew either the phase histograms or the
         failure counters."""
-        self._abandon(self.obs.record_shed, shed=reason)
+        if self.end_s is None:
+            self._abandon(shed=reason)
+            self.obs.record_shed(self)
 
-    def _abandon(self, record, **tag) -> None:
-        if self.end_s is not None:
-            return
+    def _abandon(self, **tag) -> None:
         self.unwind()
         self.end_s = self.sim._now
         self.attributes.update(tag)
-        record(self)
 
     def unwind(self) -> None:
         """Close every open span under the root, innermost first.
@@ -179,6 +184,8 @@ class RequestTrace:
         abandoned attempt leaves its phase spans open, and the next
         attempt's spans must nest directly under the root again.
         """
+        if self.end_s is not None:
+            return
         spans = self.spans
         now = self.sim._now
         index = self._open
@@ -218,90 +225,18 @@ class RequestTrace:
         return render_spans([self.root])
 
 
-class _NullSpan:
-    """Inert span handed out when observability is disabled."""
-
-    __slots__ = ("attributes",)
-
-    def __init__(self):
-        self.attributes: dict[str, object] = {}
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return None
+def _closed_trace() -> RequestTrace:
+    """A recorder closed from the start, with no hub and no clock."""
+    trace = object.__new__(RequestTrace)
+    trace.obs = trace.sim = None
+    trace.function = ""
+    trace.attributes = {}
+    trace.begin_s = trace.end_s = 0.0
+    trace.spans = []
+    trace._open = -1
+    return trace
 
 
-class NullRequestTrace:
-    """No-op stand-in so instrumented code never branches on None."""
-
-    def begin_phase(self, name: str, **attributes) -> _NullSpan:
-        return _NullSpan()
-
-    def end_phase(self, span) -> None:
-        return None
-
-    def phase(self, name: str, **attributes) -> _NullSpan:
-        return _NullSpan()
-
-    def annotate(self, **attributes) -> None:
-        return None
-
-    def finish(self) -> None:
-        return None
-
-    def fail(self, error: str) -> None:
-        return None
-
-    def shed(self, reason: str) -> None:
-        return None
-
-    def unwind(self) -> None:
-        return None
-
-
-#: Shared inert instance (stateless, safe to reuse).
-NULL_TRACE = NullRequestTrace()
-
-
-class DetachableTrace:
-    """A severable proxy in front of a trace.
-
-    Each retry attempt writes its spans through one of these.  When the
-    deadline fires first, the invoker *orphans* the attempt — it keeps
-    running in the background so its resources (cores, pool slots,
-    DRAM) are released normally — and calls :meth:`detach` so every
-    later span operation from the orphan lands on :data:`NULL_TRACE`
-    instead of corrupting the request's real span stack.
-
-    Every call looks ``_trace`` up afresh.  Proxies nest (a hedged
-    primary's proxy wraps the attempt's), so detaching an outer proxy
-    must also silence every proxy built over it; caching the wrapped
-    trace's bound methods here would keep an inner proxy writing to
-    the real trace.
-    """
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace):
-        self._trace = trace
-
-    def detach(self) -> None:
-        """Sever the proxy: all further calls become no-ops."""
-        self._trace = NULL_TRACE
-
-    def begin_phase(self, name: str, **attributes):
-        return self._trace.begin_phase(name, **attributes)
-
-    def end_phase(self, span):
-        return self._trace.end_phase(span)
-
-    def phase(self, name: str, **attributes):
-        return self._trace.phase(name, **attributes)
-
-    def annotate(self, **attributes) -> None:
-        self._trace.annotate(**attributes)
-
-    def unwind(self) -> None:
-        self._trace.unwind()
+#: The shared recorder of work no request owns (hedge clones, batch
+#: forks): closed from the start, so every write to it is a no-op.
+NULL_TRACE = _closed_trace()

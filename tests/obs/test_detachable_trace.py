@@ -1,11 +1,11 @@
-"""Severable trace proxies must stay late-binding.
+"""A closed request trace ignores late writes.
 
-A hedged primary writes its spans through a proxy that wraps the
-attempt's proxy, which wraps the request trace.  When the deadline
-orphans the attempt, only the outer proxy is detached; the inner one
-must fall silent with it.  A proxy that cached the wrapped trace's
-bound methods would keep the orphaned primary writing to the request's
-span tree.
+Work that outlives its request keeps writing to the request's trace: an
+attempt the deadline orphaned, or a hedged primary that lost to its
+clone, runs on only to release its resources.  The request closes its
+trace (finish, fail or shed) in the same step that abandons that work,
+and a closed trace drops every later write, so the orphan can no
+longer touch the request's span tree.
 """
 
 from repro import (
@@ -19,7 +19,7 @@ from repro import (
 )
 from repro.errors import DeadlineExceeded
 from repro.obs import Observability
-from repro.obs.spans import DetachableTrace
+from repro.obs.spans import NULL_TRACE
 from repro.sim import Simulator
 
 
@@ -30,30 +30,39 @@ def _tree(span):
     )
 
 
-def test_detaching_an_outer_proxy_silences_proxies_built_over_it():
-    trace = Observability(Simulator()).begin_invocation("f")
-    outer = DetachableTrace(trace)
-    inner = DetachableTrace(outer)
-    open_span = inner.begin_phase("exec")
-    outer.detach()
-    before = _tree(trace.root)
+def test_a_closed_trace_ignores_late_writes():
+    sim = Simulator()
+    obs = Observability(sim)
+    traces = []
+    for close in ("finish", "fail", "shed"):
+        trace = obs.begin_invocation("f")
+        trace.end_phase(trace.begin_phase("admit"))
+        open_span = trace.begin_phase("exec")
+        if close == "finish":
+            trace.end_phase(open_span)
+            trace.finish()
+        else:  # both unwind the open exec span
+            getattr(trace, close)("DeadlineExceeded")
+        traces.append((close, trace, open_span))
+    traces.append(("NULL_TRACE", NULL_TRACE, NULL_TRACE.begin_phase("exec")))
+    sim.run(until=1.0)
+    for label, trace, open_span in traces:
+        before = _tree(trace.root)
+        recorded = len(obs.traces)
 
-    span = inner.begin_phase("respond")
-    inner.end_phase(span)
-    inner.end_phase(open_span)
-    inner.annotate(pu="cpu0")
-    inner.unwind()
-    with inner.phase("schedule"):
-        pass
+        span = trace.begin_phase("respond", pu="cpu0")
+        span.attributes["forked"] = True
+        trace.end_phase(span)
+        trace.end_phase(open_span)
+        trace.annotate(pu="cpu0", start_kind="hedged")
+        trace.unwind()
+        trace.finish()
+        trace.fail("DeadlineExceeded")
+        trace.shed("queue_full")
 
-    assert _tree(trace.root) == before
-    # ``exec`` is still the innermost open span under the open root:
-    # the request trace closes it, then itself, without a nesting error.
-    [exec_span] = trace.root.children
-    assert exec_span.open and trace.root.open
-    trace.end_phase(open_span)
-    trace.finish()
-    assert not trace.root.open
+        assert _tree(trace.root) == before, label
+        assert len(obs.traces) == recorded, label
+    assert _tree(NULL_TRACE.root) == ("request", 0.0, 0.0, {}, [])
 
 
 def test_orphaned_hedged_primary_leaves_the_request_trace_alone():

@@ -1,14 +1,18 @@
 """Golden tests for the Prometheus text exposition format."""
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricSpec, MetricsRegistry
 
 
 def test_counter_and_gauge_exposition_golden():
     r = MetricsRegistry()
-    c = r.counter("demo_requests_total", "Requests served.", ("code",))
+    c = r.register(MetricSpec(
+        "demo_requests_total", "counter", "Requests served.", ("code",)
+    ))
     c.labels(code="200").inc(3)
     c.labels(code="500").inc()
-    g = r.gauge("demo_temperature", "Current temperature.")
+    g = r.register(
+        MetricSpec("demo_temperature", "gauge", "Current temperature.")
+    )
     g.set(36.6)
     assert r.expose() == (
         "# HELP demo_requests_total Requests served.\n"
@@ -23,7 +27,9 @@ def test_counter_and_gauge_exposition_golden():
 
 def test_histogram_exposition_golden():
     r = MetricsRegistry()
-    h = r.histogram("demo_seconds", "Latency.", ("op",), buckets=(0.1, 1.0))
+    h = r.register(MetricSpec(
+        "demo_seconds", "histogram", "Latency.", ("op",), buckets=(0.1, 1.0)
+    ))
     h.labels(op="get").observe(0.05)
     h.labels(op="get").observe(0.5)
     h.labels(op="get").observe(5.0)
@@ -40,7 +46,9 @@ def test_histogram_exposition_golden():
 
 def test_zero_observation_histogram_still_renders_buckets():
     r = MetricsRegistry()
-    h = r.histogram("empty_seconds", "Latency.", buckets=(1.0,))
+    h = r.register(
+        MetricSpec("empty_seconds", "histogram", "Latency.", buckets=(1.0,))
+    )
     h.labels()  # materialised but never observed
     assert r.expose() == (
         "# HELP empty_seconds Latency.\n"
@@ -54,7 +62,7 @@ def test_zero_observation_histogram_still_renders_buckets():
 
 def test_label_values_are_escaped():
     r = MetricsRegistry()
-    c = r.counter("demo_total", "Escaping.", ("msg",))
+    c = r.register(MetricSpec("demo_total", "counter", "Escaping.", ("msg",)))
     c.labels(msg='a"b\\c\nd').inc()
     assert r.expose() == (
         "# HELP demo_total Escaping.\n"
@@ -65,7 +73,7 @@ def test_label_values_are_escaped():
 
 def test_series_render_in_sorted_label_order():
     r = MetricsRegistry()
-    c = r.counter("demo_total", "Ordering.", ("x",))
+    c = r.register(MetricSpec("demo_total", "counter", "Ordering.", ("x",)))
     for value in ("b", "a", "c"):
         c.labels(x=value).inc()
     lines = [l for l in r.expose().splitlines() if not l.startswith("#")]

@@ -136,7 +136,7 @@ def test_histogram_p50_p95_p99_properties():
 
 def test_family_requires_exact_label_set():
     r = MetricsRegistry()
-    fam = r.counter("x_total", "help.", ("a", "b"))
+    fam = r.register(MetricSpec("x_total", "counter", "help.", ("a", "b")))
     fam.labels(a="1", b="2").inc()
     with pytest.raises(ObsError):
         fam.labels(a="1")  # missing b
@@ -155,7 +155,7 @@ def test_family_requires_exact_label_set():
 
 def test_family_children_are_distinct_series():
     r = MetricsRegistry()
-    fam = r.counter("x_total", "help.", ("a",))
+    fam = r.register(MetricSpec("x_total", "counter", "help.", ("a",)))
     fam.labels(a="1").inc(3)
     fam.labels(a="2").inc(4)
     assert fam.labels(a="1").value == 3
@@ -165,27 +165,29 @@ def test_family_children_are_distinct_series():
 
 def test_family_labelless_delegation():
     r = MetricsRegistry()
-    c = r.counter("plain_total", "help.")
+    c = r.register(MetricSpec("plain_total", "counter", "help."))
     c.inc(2)
     assert c.value == 2
-    g = r.gauge("g", "help.")
+    g = r.register(MetricSpec("g", "gauge", "help."))
     g.set(7)
     assert g.value == 7
-    h = r.histogram("h_seconds", "help.", buckets=(1.0,))
+    h = r.register(
+        MetricSpec("h_seconds", "histogram", "help.", buckets=(1.0,))
+    )
     h.observe(0.5)
     assert h.labels().count == 1
 
 
 def test_family_labelless_delegation_rejected_with_labels():
     r = MetricsRegistry()
-    fam = r.counter("x_total", "help.", ("a",))
+    fam = r.register(MetricSpec("x_total", "counter", "help.", ("a",)))
     with pytest.raises(ObsError):
         fam.inc()
 
 
 def test_family_cardinality_cap():
     r = MetricsRegistry(max_series_per_family=3)
-    fam = r.counter("x_total", "help.", ("a",))
+    fam = r.register(MetricSpec("x_total", "counter", "help.", ("a",)))
     for i in range(3):
         fam.labels(a=str(i)).inc()
     with pytest.raises(ObsError):
@@ -200,7 +202,9 @@ def test_family_cardinality_cap():
 
 def test_histogram_family_has_no_total():
     r = MetricsRegistry()
-    fam = r.histogram("h_seconds", "help.", ("a",), buckets=(1.0,))
+    fam = r.register(MetricSpec(
+        "h_seconds", "histogram", "help.", ("a",), buckets=(1.0,)
+    ))
     fam.labels(a="1").observe(0.5)
     with pytest.raises(ObsError):
         fam.total()
@@ -211,9 +215,9 @@ def test_histogram_family_has_no_total():
 
 def test_registry_rejects_duplicate_names():
     r = MetricsRegistry()
-    r.counter("x_total", "help.")
+    r.register(MetricSpec("x_total", "counter", "help."))
     with pytest.raises(ObsError):
-        r.gauge("x_total", "help.")
+        r.register(MetricSpec("x_total", "gauge", "help."))
     # Get-or-register returns the family for the same schema and
     # raises for any conflicting field.
     spec = MetricSpec("y_seconds", "histogram", "help.", ("a",), (1.0, 2.0))
@@ -238,17 +242,18 @@ def test_registry_rejects_duplicate_names():
 def test_registry_validates_names_and_labels():
     r = MetricsRegistry()
     with pytest.raises(ObsError):
-        r.counter("0bad", "help.")
+        r.register(MetricSpec("0bad", "counter", "help."))
     with pytest.raises(ObsError):
-        r.counter("ok_total", "help.", ("0bad",))
+        r.register(MetricSpec("ok_total", "counter", "help.", ("0bad",)))
     with pytest.raises(ObsError):
-        r.histogram("h_seconds", "help.", ("le",))  # reserved
+        # "le" is reserved for histogram buckets.
+        r.register(MetricSpec("h_seconds", "histogram", "help.", ("le",)))
 
 
 def test_registry_get_and_families():
     r = MetricsRegistry()
-    a = r.counter("a_total", "help.")
-    b = r.gauge("b", "help.")
+    a = r.register(MetricSpec("a_total", "counter", "help."))
+    b = r.register(MetricSpec("b", "gauge", "help."))
     assert r.get("a_total") is a
     assert list(r.families()) == [a, b]
     with pytest.raises(ObsError):
@@ -257,7 +262,9 @@ def test_registry_get_and_families():
 
 def test_registry_to_dict_shape():
     r = MetricsRegistry()
-    fam = r.histogram("h_seconds", "help.", ("a",), buckets=(1.0, 2.0))
+    fam = r.register(MetricSpec(
+        "h_seconds", "histogram", "help.", ("a",), buckets=(1.0, 2.0)
+    ))
     fam.labels(a="x").observe(0.5)
     d = r.to_dict()
     [series] = d["h_seconds"]["series"]

@@ -5,7 +5,8 @@
 users pick profiles by price and capability.  §6.6 adds that DPUs
 promise better energy efficiency despite slower cores.  This example
 runs the same function on CPU and DPU and compares the bill and the
-marginal energy per request, then lets a cost-aware policy choose.
+marginal energy per request, then asks the billing ledger which kind
+was cheaper per invocation.
 
 Run:  python examples/billing_and_energy.py
 """
@@ -18,7 +19,6 @@ from repro import (
     PuKind,
     WorkProfile,
 )
-from repro.core.policies import CostAwarePolicy
 from repro.hardware.power import EnergyMeter, energy_per_request
 
 
@@ -53,16 +53,10 @@ def main():
           " the *bill* still favours the CPU, since billed time grows"
           " faster than the price class shrinks.")
 
-    policy = CostAwarePolicy(ledger)
-    order = policy.kind_order(function)
-    print(f"\ncost-aware profile selection for 'pyaes': "
-          f"{[kind.value for kind in order]} "
-          f"(ledger-observed cheapest first)")
-
     cheapest = ledger.cheapest_kind_for("pyaes")
     per_inv_cpu = cpu_bill.cost / cpu_bill.invocations
     per_inv_dpu = dpu_bill.cost / dpu_bill.invocations
-    print(f"observed cost/invocation: cpu {per_inv_cpu:.1f} vs dpu {per_inv_dpu:.1f} "
+    print(f"\nobserved cost/invocation: cpu {per_inv_cpu:.1f} vs dpu {per_inv_dpu:.1f} "
           f"-> winner: {cheapest.value}")
 
 

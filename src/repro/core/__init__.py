@@ -14,13 +14,6 @@ from repro.core.dag import (
     run_fpga_chain,
 )
 from repro.core.executor import Command, Executor, ExecutorClient
-from repro.core.policies import (
-    ChainLocalityPolicy,
-    CheapestPolicy,
-    CostAwarePolicy,
-    FastestPolicy,
-    UserOrderPolicy,
-)
 from repro.core.gateway import ApiGateway
 from repro.core.invoker import Invoker
 from repro.core.records import FunctionInstance, InvocationResult
@@ -34,17 +27,12 @@ __all__ = [
     "BillingLedger",
     "BillingSummary",
     "Chain",
-    "ChainLocalityPolicy",
-    "CheapestPolicy",
-    "CostAwarePolicy",
     "DagEdge",
     "DagRunResult",
-    "FastestPolicy",
     "FunctionDag",
     "GlobalManager",
     "WorkerInfo",
     "LedgerEntry",
-    "UserOrderPolicy",
     "alexa_tree",
     "ChainResult",
     "ChainStage",

@@ -119,10 +119,6 @@ class BillingLedger:
         """Summary for one PU kind."""
         return self._summarize(e for e in self._entries if e.pu_kind == kind)
 
-    def hedge_waste_total(self) -> BillingSummary:
-        """Summary of the entries charged for discarded hedge work."""
-        return self._summarize(e for e in self._entries if e.hedge_waste)
-
     def cheapest_kind_for(self, function: str) -> Optional[PuKind]:
         """The PU kind that has billed this function the least per
         invocation so far (what a cost-aware profile selector would

@@ -122,7 +122,6 @@ class MoleculeRuntime:
         warm_pool_capacity: int = 4096,
         keep_alive_ttl_s: Optional[float] = None,
         keepalive_policy: str = "ttl",
-        prefer_cheapest: bool = False,
         obs: Optional[Observability] = None,
         seed: Optional[int] = None,
         default_deadline_s: Optional[float] = None,
@@ -154,7 +153,6 @@ class MoleculeRuntime:
         )
         self.scheduler = Scheduler(
             self.machine,
-            prefer_cheapest=prefer_cheapest,
             obs=self.obs,
             health=self.health,
         )

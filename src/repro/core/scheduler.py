@@ -2,14 +2,13 @@
 selections").
 
 Given a function's allowed PU kinds, the scheduler picks the concrete
-PU for a new instance:
-
-* admission-controlled by instance memory (the Fig. 2a density
-  experiment emerges from this);
-* cheapest-first across kinds (DPU before CPU before accelerators) by
-  default, or an explicit preference;
-* chain-aware: functions of one chain are co-located on the same PU
-  when possible, for communication locality.
+PU for a new instance by one rule: the explicit kind, or else the kinds
+in the order the user listed the function's profiles; within a kind,
+PUs in machine order, minus crashed and open-breaker PUs; the first PU
+with DRAM room for the instance wins (the Fig. 2a density experiment
+emerges from this admission control).  Accelerators skip DRAM
+admission: their runtimes govern their capacity.  Chain co-location is
+:meth:`repro.core.dag.DagEngine.co_locate`, not a placement option.
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.reliability import HealthRegistry
     from repro.obs import Observability
 
-#: Kind preference when the user allows several (cheapest first, §4.1).
-_KIND_PRICE_ORDER = (PuKind.DPU, PuKind.CPU, PuKind.GPU, PuKind.FPGA)
-
 
 class Scheduler:
     """Places function instances onto PUs."""
@@ -35,14 +31,10 @@ class Scheduler:
     def __init__(
         self,
         machine: HeterogeneousComputer,
-        prefer_cheapest: bool = False,
         obs: Optional["Observability"] = None,
         health: Optional["HealthRegistry"] = None,
     ):
         self.machine = machine
-        #: When False (default), kinds are tried in the order the user
-        #: listed them in the function's profiles.
-        self.prefer_cheapest = prefer_cheapest
         self.obs = obs
         #: Per-PU health registry; crashed and open-circuit PUs are
         #: excluded from candidates.  None disables health filtering.
@@ -60,16 +52,6 @@ class Scheduler:
             tuple[str, Optional[PuKind]],
             tuple[int, float, tuple[ProcessingUnit, ...]],
         ] = {}
-        #: Optional hedge feedback (repro.hedging with ``pu_feedback``):
-        #: reorders primary placement candidates so PUs whose hedged
-        #: primaries chronically lose their races sink to the back.
-        #: None (the default) keeps placement byte-identical.
-        self.hedge_feedback = None
-
-    def _kind_order(self, function: FunctionDef) -> list[PuKind]:
-        if self.prefer_cheapest:
-            return [k for k in _KIND_PRICE_ORDER if function.supports(k)]
-        return list(function.profiles)
 
     def candidates(
         self, function: FunctionDef, kind: Optional[PuKind] = None
@@ -86,7 +68,7 @@ class Scheduler:
         key = (function.name, kind)
         base = self._base_candidates.get(key)
         if base is None:
-            kinds = [kind] if kind is not None else self._kind_order(function)
+            kinds = [kind] if kind is not None else function.profiles
             pus: list[ProcessingUnit] = []
             for wanted in kinds:
                 if not function.supports(wanted):
@@ -130,23 +112,17 @@ class Scheduler:
         self,
         function: FunctionDef,
         kind: Optional[PuKind] = None,
-        near: Optional[ProcessingUnit] = None,
         exclude: Optional[ProcessingUnit] = None,
     ) -> ProcessingUnit:
         """Choose and reserve a PU for one new instance.
 
         Reserves the instance's memory immediately (admission control);
-        call :meth:`release` when the instance dies.  ``near`` expresses
-        chain co-location: that PU is tried first.  ``exclude`` expresses
-        hedge anti-affinity: that PU is never chosen.
+        call :meth:`release` when the instance dies.  ``exclude``
+        expresses hedge anti-affinity: that PU is never chosen.
         """
         candidates = self.candidates(function, kind)
-        if self.hedge_feedback is not None:
-            candidates = self.hedge_feedback.reorder_candidates(candidates)
         if exclude is not None:
             candidates = tuple(pu for pu in candidates if pu is not exclude)
-        if near is not None and near in candidates:
-            candidates = [near] + [pu for pu in candidates if pu is not near]
         for pu in candidates:
             if pu.kind.general_purpose:
                 if pu.try_reserve_dram(function.code.memory_mb):

@@ -204,10 +204,6 @@ class FpgaDevice:
                 f"image {image.name!r} needs {demand} which exceeds {self.totals}"
             )
 
-    def erase_time(self) -> float:
-        """Seconds to erase the current image (zero when already clean)."""
-        return self.costs.erase_s if self.dirty else 0.0
-
     def program(self, image: FpgaImage, erase_first: bool = True):
         """Generator: program ``image``, optionally erasing first.
 

@@ -55,10 +55,6 @@ class Link:
             costs.bandwidth_gbps * config.GB
         )
 
-    def endpoints(self) -> tuple[int, int]:
-        """The two PU ids joined by the link."""
-        return (self.a, self.b)
-
 
 @dataclass(frozen=True)
 class DegradedLink(Link):

@@ -78,14 +78,6 @@ class HedgeConfig:
     #: Refuse clones while hedge-wasted cost exceeds this fraction of
     #: the total bill so far (None: no waste ceiling).
     budget_waste_ceiling: Optional[float] = None
-    #: Feed the hedger's per-PU win/waste history back into
-    #: ``Scheduler.place()`` so chronically slow PUs are deprioritised
-    #: for primaries, not just excluded for clones.  Off by default:
-    #: reordering changes placement and therefore golden traces.
-    pu_feedback: bool = False
-    #: Hedged primaries a PU must have hosted before the feedback
-    #: reordering trusts its loss rate.
-    pu_feedback_min_samples: int = 8
 
 
 class _HedgeState:
@@ -236,18 +228,12 @@ class HedgePolicy:
                 burst=self.config.budget_burst,
                 waste_ceiling=self.config.budget_waste_ceiling,
             )
-        #: Per-PU primary history: name -> {primaries, lost, waste_s}.
-        #: A "lost" primary is one whose clone answered first — the
-        #: sign the PU was the slow side of the race.
-        self.pu_stats: dict[str, dict] = {}
         self.metrics = runtime.obs.registry.register_table(HEDGE_METRICS)
         # ``wire=False`` builds a free-standing policy (the fan-out
         # engine's straggler speculation) that must not become the
         # runtime-wide hedger: it is passed per request instead.
         if wire:
             runtime.invoker.hedging = self
-            if self.config.pu_feedback:
-                runtime.scheduler.hedge_feedback = self
 
     # -- trigger ---------------------------------------------------------------------
 
@@ -336,7 +322,6 @@ class HedgePolicy:
         state.exclude = primary_pu
         state.pending += 1
         self.fired += 1
-        self._pu_stat(primary_pu.name)["primaries"] += 1
         self.metrics.fired.child(function.name).inc()
         state.event = {
             "request_id": state.request_id,
@@ -358,8 +343,6 @@ class HedgePolicy:
         if tag == "clone":
             self.won += 1
             self.metrics.won.child(state.function.name).inc()
-            if state.event is not None:
-                self._pu_stat(state.event["primary_pu"])["lost"] += 1
 
     def on_cancelled(self, state: _HedgeState, tag: str, placed,
                      wasted_s: float) -> None:
@@ -393,42 +376,7 @@ class HedgePolicy:
             request_id, function.name, pu, exec_s, hedge_waste=True
         )
         self.wasted_cost += entry.cost
-        self._pu_stat(pu.name)["waste_s"] += exec_s
         return entry
-
-    # -- per-PU feedback (consulted by Scheduler.place) --------------------------------
-
-    def _pu_stat(self, pu_name: str) -> dict:
-        stat = self.pu_stats.get(pu_name)
-        if stat is None:
-            stat = {"primaries": 0, "lost": 0, "waste_s": 0.0}
-            self.pu_stats[pu_name] = stat
-        return stat
-
-    def pu_penalty(self, pu_name: str) -> float:
-        """Fraction of this PU's hedged primaries that lost their race
-        to a clone (0.0 until the sample floor is met — a cold PU must
-        not be punished on noise)."""
-        stat = self.pu_stats.get(pu_name)
-        if (stat is None
-                or stat["primaries"] < self.config.pu_feedback_min_samples):
-            return 0.0
-        return stat["lost"] / stat["primaries"]
-
-    def reorder_candidates(self, candidates):
-        """Stable-reorder placement candidates by hedge-loss penalty:
-        chronically slow PUs sink to the back of the primary order
-        without being excluded (they still serve when the rest are
-        full, unlike clone anti-affinity)."""
-        if len(candidates) < 2:
-            return candidates
-        penalties = [self.pu_penalty(pu.name) for pu in candidates]
-        first = penalties[0]
-        if all(penalty == first for penalty in penalties):
-            return candidates
-        order = sorted(range(len(candidates)),
-                       key=lambda i: (penalties[i], i))
-        return tuple(candidates[i] for i in order)
 
     # -- reporting -------------------------------------------------------------------
 

@@ -6,10 +6,10 @@ load``, which writes that report.  A row with neither ``on`` nor
 ``off`` is a determinism row: both sides must report byte-identically
 (minus host and wall time).  Hard checks on both sides fail the run;
 the A/B comparisons only warn, as the strict ones live in the engines'
-tests.  ``python -m repro.loadgen.smoke``, run from the repository
-root, writes the reports under ``load-smoke/``, prints one GitHub
-``::error``/``::warning`` annotation (titled with the row's name) per
-failed check and exits 1 on any hard failure.
+tests.  ``python -m repro.loadgen.smoke``, run from any directory,
+writes the reports under that directory's ``load-smoke/``, prints one
+GitHub ``::error``/``::warning`` annotation (titled with the row's
+name) per failed check and exits 1 on any hard failure.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ from repro.reuse import ReuseConfig
 #: Where ``python -m repro.loadgen.smoke`` writes the rows' reports.
 OUTDIR = Path("load-smoke")
 
+#: The repository root, where the checked-in reports a :class:`Warn`
+#: names as its baseline live.
+REPO_ROOT = Path(__file__).resolve().parents[3]
+
 _P99 = "latency.end_to_end.p99_ms"
 
 
@@ -40,7 +44,7 @@ class Warn:
     #: ``(on, reference) -> True`` when the warning fires.
     fires: Callable[[float, float], bool]
     #: The reference: the off side, the checked-in report at this
-    #: path, or a fixed bar.
+    #: path (relative to the repository root), or a fixed bar.
     baseline: Union[None, str, float] = None
 
 
@@ -207,7 +211,7 @@ def check(row: Row, off: dict, on: dict) -> tuple[list[str], list[str]]:
         if warn.baseline is None:
             then = _value(off, warn.metric)
         elif isinstance(warn.baseline, str):
-            then = _value(json.loads(Path(warn.baseline).read_text()),
+            then = _value(json.loads((REPO_ROOT / warn.baseline).read_text()),
                           warn.metric)
         else:
             then = warn.baseline

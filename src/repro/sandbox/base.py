@@ -75,11 +75,6 @@ class FunctionCode:
         if self.import_ms < 0 or self.data_ms < 0 or self.memory_mb < 0:
             raise SandboxError(f"negative cost in function {self.func_id!r}")
 
-    @property
-    def is_accelerated(self) -> bool:
-        """True for FPGA/GPU kernels."""
-        return self.kernel is not None
-
 
 @dataclass
 class Sandbox:

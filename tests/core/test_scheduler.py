@@ -9,10 +9,10 @@ from repro.hardware import build_cpu_dpu_machine, build_full_machine
 from repro.sim import Simulator
 
 
-def make(num_dpus=2, prefer_cheapest=False):
+def make(num_dpus=2):
     sim = Simulator()
     machine = build_cpu_dpu_machine(sim, num_dpus=num_dpus)
-    return machine, Scheduler(machine, prefer_cheapest=prefer_cheapest)
+    return machine, Scheduler(machine)
 
 
 def fn(name="f", profiles=(PuKind.CPU,), memory_mb=60.0):
@@ -40,12 +40,6 @@ def test_place_respects_profile_order():
     assert scheduler.place(f).kind is PuKind.DPU
 
 
-def test_prefer_cheapest_picks_dpu_first():
-    machine, scheduler = make(prefer_cheapest=True)
-    f = fn(profiles=(PuKind.CPU, PuKind.DPU))
-    assert scheduler.place(f).kind is PuKind.DPU
-
-
 def test_place_spills_to_next_pu_when_full():
     machine, scheduler = make(num_dpus=2)
     f = fn(profiles=(PuKind.DPU,))
@@ -60,11 +54,16 @@ def test_place_explicit_kind_must_be_in_profiles():
         scheduler.place(fn(profiles=(PuKind.CPU,)), kind=PuKind.DPU)
 
 
-def test_place_near_prefers_colocated_pu():
-    machine, scheduler = make()
-    f = fn(profiles=(PuKind.CPU, PuKind.DPU))
-    dpu = machine.pu(1)
-    assert scheduler.place(f, near=dpu) is dpu
+def test_place_skips_excluded_pu():
+    machine, scheduler = make(num_dpus=2)
+    f = fn(profiles=(PuKind.DPU, PuKind.CPU))
+    dpu0, dpu1 = machine.pu(1), machine.pu(2)
+    assert scheduler.place(f, exclude=dpu0) is dpu1
+    assert dpu0.dram_used_mb == 0.0
+    # Excluding the only candidate leaves nowhere to place.
+    machine, scheduler = make(num_dpus=1)
+    with pytest.raises(SchedulingError):
+        scheduler.place(fn(profiles=(PuKind.DPU,)), exclude=machine.pu(1))
 
 
 def test_exhaustion_raises_scheduling_error():

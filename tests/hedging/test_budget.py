@@ -1,11 +1,10 @@
-"""The hedge clone budget and its scheduling feedback: a provable
-clone-rate bound (``fired <= burst + ratio x answered`` for any latency
-distribution), throttling, the waste ceiling, and the per-PU win/waste
-feedback into primary placement."""
+"""The hedge clone budget: a provable clone-rate bound (``fired <= burst
++ ratio x answered`` for any latency distribution), throttling and the
+waste ceiling."""
 
 import pytest
 
-from repro import HedgeConfig, MoleculeRuntime
+from repro import HedgeConfig
 from repro.hedging.budget import HedgeBudget
 from repro.loadgen import run_load
 
@@ -91,48 +90,3 @@ def test_hedge_budget_flag_implies_hedging():
     assert report["params"]["hedge"] is True
     assert report["params"]["hedge_budget"] == 0.05
     assert report["hedging"]["budget"]["ratio"] == 0.05
-
-
-# -- per-PU feedback into placement ------------------------------------------------
-
-
-class _FakePu:
-    def __init__(self, name):
-        self.name = name
-
-
-def _feedback_engine():
-    runtime = MoleculeRuntime.create(
-        num_dpus=1, seed=9,
-        hedging=HedgeConfig(pu_feedback=True, pu_feedback_min_samples=4),
-    )
-    return runtime
-
-
-def test_pu_feedback_registers_with_scheduler():
-    runtime = _feedback_engine()
-    assert runtime.scheduler.hedge_feedback is runtime.hedging
-    # Off by default: feedback reordering changes golden placements.
-    plain = MoleculeRuntime.create(num_dpus=1, seed=9, hedging=HedgeConfig())
-    assert getattr(plain.scheduler, "hedge_feedback", None) is None
-
-
-def test_pu_penalty_needs_samples_then_tracks_loss_rate():
-    engine = _feedback_engine().hedging
-    assert engine.pu_penalty("dpu0") == 0.0
-    engine.pu_stats["dpu0"] = {"primaries": 2, "lost": 2, "waste_s": 0.0}
-    assert engine.pu_penalty("dpu0") == 0.0     # below the sample floor
-    engine.pu_stats["dpu0"] = {"primaries": 8, "lost": 6, "waste_s": 0.0}
-    assert engine.pu_penalty("dpu0") == 0.75
-
-
-def test_reorder_sinks_lossy_pus_stably():
-    engine = _feedback_engine().hedging
-    engine.pu_stats["lossy"] = {"primaries": 8, "lost": 8, "waste_s": 0.0}
-    candidates = (_FakePu("lossy"), _FakePu("a"), _FakePu("b"))
-    reordered = engine.reorder_candidates(candidates)
-    # The chronic race-loser sinks to the back; ties keep their order.
-    assert [pu.name for pu in reordered] == ["a", "b", "lossy"]
-    # All-equal penalties: the tuple passes through untouched.
-    even = (_FakePu("x"), _FakePu("y"))
-    assert engine.reorder_candidates(even) is even

@@ -97,3 +97,17 @@ def test_warn_bars_fire_on_their_condition():
         "rate above bar (load.rate: 0.5 -> 0.6)",
     ]
     assert smoke.check(row, on, off) == ([], [])
+
+
+def test_checked_in_baseline_reads_from_any_directory(tmp_path, monkeypatch):
+    # The reuse row compares against BENCH_load_cache.json at the
+    # repository root, wherever the smoke table runs from.
+    monkeypatch.chdir(tmp_path)
+    row = next(row for row in smoke.ROWS if row.name == "reuse")
+    report = _sound_report()
+    report["reuse"]["hit_rate"] = 0.1
+    report["latency"] = {"end_to_end": {"p99_ms": 100.0}}
+    errors, warnings = smoke.check(row, report, report)
+    assert errors == []
+    assert "hit rate regressed >10% vs the checked-in report " \
+        "(reuse.hit_rate: 0.8954 -> 0.1)" in warnings

@@ -43,7 +43,8 @@ class ApiGateway:
         request_ids: Optional[Iterator[int]] = None,
     ):
         self.sim = sim
-        self.overhead_ms = overhead_ms
+        #: The admission delay the invoker yields before :meth:`stamp`.
+        self.overhead_s = overhead_ms * config.MS
         self.obs = obs
         self.default_deadline_s = default_deadline_s
         self._request_ids = request_ids if request_ids is not None else itertools.count(1)
@@ -52,6 +53,13 @@ class ApiGateway:
         #: Called with the running admitted count after each admission
         #: (the fault injector's after-N-requests triggers hook in here).
         self._admit_listeners: list[Callable[[int], None]] = []
+        #: The :class:`~repro.loadgen.sharding.GatewayShard` this
+        #: gateway admits for (None for the runtime's own gateway); the
+        #: invoker settles the shard's counters through it.
+        self.shard = None
+        # The label-less admission series, resolved at the first
+        # admission (so a gateway that admits nothing adds no series).
+        self._series = None
 
     def add_admit_listener(self, listener: Callable[[int], None]) -> None:
         """Subscribe to admissions (called with the admitted count)."""
@@ -65,24 +73,32 @@ class ApiGateway:
         """Forget a request's deadline once the request has settled."""
         self._deadlines.pop(request_id, None)
 
-    def admit(self, deadline_s: Optional[float] = None):
-        """Generator: admit one request, returning its request id.
+    def stamp(self, began: float, deadline_s: Optional[float] = None) -> int:
+        """Admit one request whose :attr:`overhead_s` delay, begun at
+        sim time ``began``, has elapsed; returns its request id.
 
+        The caller (:meth:`repro.core.invoker.Invoker.invoke`) yields
+        the delay itself, so admission adds no generator frame.
         ``deadline_s`` (relative) overrides the gateway default for
         this one request.
         """
-        sim = self.sim
-        began = sim._now
-        yield sim.timeout(self.overhead_ms * config.MS)
+        now = self.sim._now
         self.requests_admitted += 1
         if self.obs is not None:
-            m = self.obs.metrics
-            m.gateway_requests.inc()
-            m.gateway_admit_seconds.observe(sim._now - began)
+            series = self._series
+            if series is None:
+                m = self.obs.metrics
+                series = self._series = (
+                    m.gateway_requests.child(),
+                    m.gateway_admit_seconds.child(),
+                )
+            requests, admit_seconds = series
+            requests.inc()
+            admit_seconds.observe(now - began)
         request_id = next(self._request_ids)
         budget = deadline_s if deadline_s is not None else self.default_deadline_s
         if budget is not None:
-            self._deadlines[request_id] = sim._now + budget
+            self._deadlines[request_id] = now + budget
         for listener in self._admit_listeners:
             listener(self.requests_admitted)
         return request_id

@@ -49,6 +49,7 @@ from repro.errors import (
 )
 from repro.hardware.pu import ProcessingUnit, PuKind
 from repro.hedging.engine import hedge_stage
+from repro.multios.process import ProcessState
 from repro.core.keepalive import WarmPool, make_warm_pool
 from repro.core.records import Attempt, FunctionInstance, InvocationResult
 from repro.core.registry import FunctionDef
@@ -199,7 +200,11 @@ class Invoker:
 
         ``gateway`` admits the request through a specific gateway
         (a shard of :class:`repro.loadgen.sharding.ShardedFrontend`)
-        instead of the runtime's default front door.
+        instead of the runtime's default front door.  A shard's
+        gateway names its shard, whose counters are settled here:
+        ``end_shed`` on a shed, ``end_request`` on an answer (which
+        then carries ``result.shard``) or a failure, and nothing when
+        the generator is closed before it finishes.
 
         Transient failures (injected faults, dead sandboxes, exhausted
         capacity) are retried with exponential backoff up to
@@ -217,23 +222,25 @@ class Invoker:
         breaker probe, which must reach a real PU: it skips the cache
         stage and is never shed by the gate stage (repro.overload).
         """
-        function = self.runtime.registry.get(name)
-        if pu is not None and kind is None:
-            kind = pu.kind
-        if kind is not None and not function.supports(kind):
-            raise SchedulingError(
-                f"function {name!r} has no {kind.value} profile"
-            )
         gateway = gateway if gateway is not None else self.runtime.gateway
-        hedger = hedge_policy if hedge_policy is not None else self.hedging
-        sim = self.runtime.sim
-        start = sim._now
-        trace = self.obs.begin_invocation(function.name)
-        fates = self.runtime.fates
-        request = None
+        shard = gateway.shard
+        trace = request = None
         try:
+            function = self.runtime.registry.get(name)
+            if pu is not None and kind is None:
+                kind = pu.kind
+            if kind is not None and not function.supports(kind):
+                raise SchedulingError(
+                    f"function {name!r} has no {kind.value} profile"
+                )
+            hedger = hedge_policy if hedge_policy is not None else self.hedging
+            sim = self.runtime.sim
+            start = sim._now
+            trace = self.obs.begin_invocation(function.name)
+            fates = self.runtime.fates
             admit_span = trace.begin_phase("admit")
-            request_id = yield from gateway.admit(deadline_s=deadline_s)
+            yield sim.timeout(gateway.overhead_s)
+            request_id = gateway.stamp(start, deadline_s)
             admitted_s = sim._now
             request = Attempt(
                 function, request_id, kind, pu, force_cold, payload_bytes,
@@ -263,11 +270,18 @@ class Invoker:
         except RequestShed as exc:
             trace.shed(exc.reason)
             fates.settle_shed(request, exc)
+            if shard is not None:
+                shard.end_shed()
             raise
         except Exception as exc:
-            trace.fail(type(exc).__name__)
+            # A request refused before admission (unknown function,
+            # unsupported kind) has no trace and no fate yet.
+            if trace is not None:
+                trace.fail(type(exc).__name__)
             if request is not None:
                 fates.settle_dead(request, exc)
+            if shard is not None:
+                shard.end_request(ok=False)
             raise
         finally:
             if request is not None:
@@ -282,6 +296,9 @@ class Invoker:
             # drag the percentile down and fire hedges on every
             # executed request.
             hedger.observe(function.name, result.total_s)
+        if shard is not None:
+            shard.end_request(ok=True)
+            result.shard = shard.index
         return result
 
     # -- retry: the retry / deadline loop ----------------------------------------------
@@ -474,7 +491,7 @@ class Invoker:
         """Record the PU an attempt targets (breaker attribution +
         half-open probe claiming + crash-epoch snapshot)."""
         attempt.placed = pu
-        attempt.epoch = self.health.epoch(pu)
+        attempt.epoch = self.health.epochs.get(pu.pu_id, 0)
         self.health.begin_attempt(pu)
 
     def _crashed_during(self, pu: ProcessingUnit, attempt: Attempt) -> bool:
@@ -484,7 +501,10 @@ class Invoker:
         targeted the PU, so a crash followed by a reboot before the
         attempt finished is still detected.
         """
-        return self.health.is_down(pu) or self.health.epoch(pu) != attempt.epoch
+        health = self.health
+        pu_id = pu.pu_id
+        return (pu_id in health.down
+                or health.epochs.get(pu_id, 0) != attempt.epoch)
 
     def _result(self, attempt: Attempt, pu, cold, startup_s,
                 exec_s) -> InvocationResult:
@@ -710,7 +730,7 @@ class Invoker:
         if sandbox.state is SandboxState.DELETED:
             return False
         process = sandbox.backend.process
-        return process is None or process.alive
+        return process is None or process.state is ProcessState.RUNNING
 
     def _release_instance(self, instance: FunctionInstance) -> None:
         """Return a no-longer-needed instance through the normal path:

@@ -43,13 +43,16 @@ class WarmPool:
         self.ttl_overrides: dict[str, float] = {}
         #: func_name -> list of (idle_since, instance).
         self._idle: OrderedDict[str, list] = OrderedDict()
+        #: Idle instances over every bucket (kept as they come and go,
+        #: so a release never sums the buckets).
+        self._count = 0
         #: Cache statistics for reports.
         self.hits = 0
         self.misses = 0
         self.expired = 0
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._idle.values())
+        return self._count
 
     def acquire(self, func_name: str) -> Optional["FunctionInstance"]:
         """Take a warm instance of ``func_name``; None on a miss."""
@@ -57,6 +60,7 @@ class WarmPool:
         if bucket:
             self._idle.move_to_end(func_name)
             self.hits += 1
+            self._count -= 1
             _since, instance = bucket.pop()
             if not bucket:
                 # Keep the invariant "every bucket is non-empty": an
@@ -72,13 +76,15 @@ class WarmPool:
         name = instance.function.name
         self._idle.setdefault(name, []).append((now, instance))
         self._idle.move_to_end(name)
+        self._count += 1
         evicted: list = []
-        while len(self) > self.capacity:
+        while self._count > self.capacity:
             oldest_name, bucket = next(iter(self._idle.items()))
             if not bucket:  # defensive: never pop an empty bucket
                 del self._idle[oldest_name]
                 continue
             evicted.append(bucket.pop(0)[1])
+            self._count -= 1
             if not bucket:
                 del self._idle[oldest_name]
         return evicted
@@ -108,6 +114,7 @@ class WarmPool:
             else:
                 del self._idle[name]
         self.expired += len(reaped)
+        self._count -= len(reaped)
         return reaped
 
     def idle_instances(
@@ -127,7 +134,9 @@ class WarmPool:
 
     def drop_all(self, func_name: str) -> list["FunctionInstance"]:
         """Remove every idle instance of one function."""
-        return [inst for _since, inst in self._idle.pop(func_name, [])]
+        dropped = [inst for _since, inst in self._idle.pop(func_name, [])]
+        self._count -= len(dropped)
+        return dropped
 
     @property
     def hit_rate(self) -> float:
@@ -189,11 +198,13 @@ class GdsfWarmPool(WarmPool):
             self.tracker.admit(name, cost=self._cost(instance))
         self._idle.setdefault(name, []).append((now, instance))
         self._idle.move_to_end(name)
+        self._count += 1
         evicted: list = []
-        while len(self) > self.capacity:
+        while self._count > self.capacity:
             victim = self.tracker.victim()
             bucket = self._idle[victim]
             evicted.append(bucket.pop(0)[1])
+            self._count -= 1
             if not bucket:
                 del self._idle[victim]
                 self.tracker.remove(victim, evicted=True)

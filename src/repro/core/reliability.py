@@ -156,7 +156,8 @@ class CircuitBreaker:
         """An attempt on this PU completed: close the breaker."""
         self.consecutive_failures = 0
         self.probe_in_flight = False
-        self._transition(BreakerState.CLOSED, now)
+        if self.state is not BreakerState.CLOSED:
+            self._transition(BreakerState.CLOSED, now)
 
     def record_failure(self, now: float) -> None:
         """An attempt on this PU failed: count it, maybe trip open."""
@@ -195,11 +196,14 @@ class HealthRegistry:
         self.open_s = open_s
         self.obs = obs
         self._breakers: dict[int, CircuitBreaker] = {}
-        self._down: set[int] = set()
-        #: Crash generation per PU: incremented on every mark_down so an
-        #: in-flight attempt can detect "my PU crashed while I ran" even
-        #: if the PU rebooted before the attempt finished.
-        self._epochs: dict[int, int] = {}
+        #: Ids of the PUs a crash took offline (read-only outside this
+        #: class; the invoker reads it directly on every attempt).
+        self.down: set[int] = set()
+        #: Crash generation per PU id: incremented on every mark_down so
+        #: an in-flight attempt can detect "my PU crashed while I ran"
+        #: even if the PU rebooted before the attempt finished
+        #: (read-only outside this class, like :attr:`down`).
+        self.epochs: dict[int, int] = {}
         #: Names for metric labels, filled lazily.
         self._names: dict[int, str] = {}
         #: Bumped on every availability-affecting change (crashes,
@@ -225,34 +229,34 @@ class HealthRegistry:
     def mark_down(self, pu: "ProcessingUnit") -> None:
         """A crash took this PU offline (until :meth:`mark_up`)."""
         self._names[pu.pu_id] = pu.name
-        self._down.add(pu.pu_id)
-        self._epochs[pu.pu_id] = self._epochs.get(pu.pu_id, 0) + 1
+        self.down.add(pu.pu_id)
+        self.epochs[pu.pu_id] = self.epochs.get(pu.pu_id, 0) + 1
         self._bump()
 
     def mark_up(self, pu: "ProcessingUnit") -> None:
         """The PU rebooted: back in service with a fresh breaker."""
-        self._down.discard(pu.pu_id)
+        self.down.discard(pu.pu_id)
         breaker = self.breaker(pu)
         breaker.consecutive_failures = 0
         breaker.probe_in_flight = False
-        breaker._transition(BreakerState.CLOSED, self.sim.now)
+        breaker._transition(BreakerState.CLOSED, self.sim._now)
         self._bump()
 
     def is_down(self, pu: "ProcessingUnit") -> bool:
         """True while the PU is crashed."""
-        return pu.pu_id in self._down
+        return pu.pu_id in self.down
 
     def epoch(self, pu: "ProcessingUnit") -> int:
         """How many times this PU has crashed so far."""
-        return self._epochs.get(pu.pu_id, 0)
+        return self.epochs.get(pu.pu_id, 0)
 
     # -- availability ------------------------------------------------------------
 
     def available(self, pu: "ProcessingUnit") -> bool:
         """True if the scheduler may place onto this PU right now."""
-        if pu.pu_id in self._down:
+        if pu.pu_id in self.down:
             return False
-        return self.breaker(pu).allows(self.sim.now)
+        return self.breaker(pu).allows(self.sim._now)
 
     def filter_available(self, pus) -> tuple[tuple, float]:
         """``(available_pus, valid_until)`` for a candidate list.
@@ -263,7 +267,7 @@ class HealthRegistry:
         stale without any registry mutation.  ``inf`` when no excluded
         PU can recover on its own.
         """
-        now = self.sim.now
+        now = self.sim._now
         available: list = []
         valid_until = float("inf")
         for pu in pus:
@@ -272,7 +276,7 @@ class HealthRegistry:
                 continue
             breaker = self._breakers.get(pu.pu_id)
             if (
-                pu.pu_id not in self._down
+                pu.pu_id not in self.down
                 and breaker is not None
                 and breaker.state is BreakerState.OPEN
                 and breaker.opened_at is not None
@@ -286,22 +290,33 @@ class HealthRegistry:
         """An attempt is about to target ``pu``.  Only claiming a
         half-open probe slot changes availability, so only that bumps
         :attr:`version`; ordinary attempts keep the scheduler's
-        candidate cache valid."""
-        if self.breaker(pu).begin_attempt(self.sim.now):
+        candidate cache valid.  A CLOSED breaker has no slot to claim,
+        so an existing one returns at once."""
+        breaker = self._breakers.get(pu.pu_id)
+        if breaker is not None and breaker.state is BreakerState.CLOSED:
+            return
+        if self.breaker(pu).begin_attempt(self.sim._now):
             self._bump()
 
     def record_success(self, pu: "ProcessingUnit") -> None:
-        """An attempt on ``pu`` succeeded."""
+        """An attempt on ``pu`` succeeded.  A settled breaker (CLOSED,
+        no failures counted, no probe in flight) has nothing to reset,
+        so it returns at once."""
+        breaker = self._breakers.get(pu.pu_id)
+        if (breaker is not None and breaker.state is BreakerState.CLOSED
+                and not breaker.consecutive_failures
+                and not breaker.probe_in_flight):
+            return
         breaker = self.breaker(pu)
         before = breaker.state
-        breaker.record_success(self.sim.now)
+        breaker.record_success(self.sim._now)
         self._observe(pu, before, breaker.state)
 
     def record_failure(self, pu: "ProcessingUnit") -> None:
         """An attempt on ``pu`` failed."""
         breaker = self.breaker(pu)
         before = breaker.state
-        breaker.record_failure(self.sim.now)
+        breaker.record_failure(self.sim._now)
         self._observe(pu, before, breaker.state)
 
     def _observe(self, pu, before: BreakerState, after: BreakerState) -> None:
@@ -317,8 +332,8 @@ class HealthRegistry:
         out: dict[str, str] = {}
         for pu_id, breaker in sorted(self._breakers.items()):
             name = self._names.get(pu_id, str(pu_id))
-            out[name] = "down" if pu_id in self._down else breaker.state.value
-        for pu_id in sorted(self._down):
+            out[name] = "down" if pu_id in self.down else breaker.state.value
+        for pu_id in sorted(self.down):
             out.setdefault(self._names.get(pu_id, str(pu_id)), "down")
         return out
 

@@ -84,7 +84,7 @@ class Scheduler:
         cached = self._available_candidates.get(key)
         if cached is not None:
             version, valid_until, filtered = cached
-            if version == health.version and health.sim.now < valid_until:
+            if version == health.version and health.sim._now < valid_until:
                 return filtered
         filtered, valid_until = health.filter_available(base)
         # Capture the version *after* filtering: availability checks may

@@ -115,6 +115,8 @@ class FanoutJobResult:
     cold: bool = False
     attempts: int = 1
     hedged: bool = False
+    #: Never served from the result cache (a job is not cacheable).
+    cache: str = ""
     #: Per-stage durations (sim seconds), pipeline order.
     stage_s: dict = field(default_factory=dict)
 

@@ -27,10 +27,10 @@ class PuKind(enum.Enum):
     FPGA = "fpga"
     GPU = "gpu"
 
-    @property
-    def general_purpose(self) -> bool:
-        """True for PUs that run an OS and arbitrary processes."""
-        return self in (PuKind.CPU, PuKind.DPU)
+    def __init__(self, value: str):
+        #: True for PUs that run an OS and arbitrary processes (a plain
+        #: attribute: the request path reads it on every attempt).
+        self.general_purpose = value in ("cpu", "dpu")
 
 
 class PriceClass(enum.Enum):
@@ -79,17 +79,15 @@ class ProcessingUnit:
         self.pu_id = pu_id
         self.name = name
         self.spec = spec
+        #: Architectural class of this PU (``spec.kind``, as a plain
+        #: attribute: the request path reads it several times a request).
+        self.kind: PuKind = spec.kind
         self.cores = Resource(sim, capacity=spec.cores)
         self.dram = Container(sim, capacity=spec.usable_dram_mb(), init=0.0)
         self.clock = PreemptibleClock(sim)
         #: For accelerators: the general-purpose PU hosting the virtual
         #: XPU-Shim instance and executor for this device (§4.1).
         self.host_pu: Optional["ProcessingUnit"] = None
-
-    @property
-    def kind(self) -> PuKind:
-        """Architectural class of this PU."""
-        return self.spec.kind
 
     @property
     def is_general_purpose(self) -> bool:

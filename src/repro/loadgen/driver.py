@@ -86,7 +86,7 @@ def _serve(driver, index: int, arrival):
     record its fate in a new :class:`RequestRecord`."""
     sim = driver.runtime.sim
     record = RequestRecord(
-        index=index, function=arrival.function, submitted_s=sim.now
+        index=index, function=arrival.function, submitted_s=sim._now
     )
     driver.records.append(record)
     try:
@@ -106,7 +106,7 @@ def _serve(driver, index: int, arrival):
             OUTCOME_SHED if isinstance(exc, RequestShed)
             else type(exc).__name__
         )
-        record.latency_s = sim.now - record.submitted_s
+        record.latency_s = sim._now - record.submitted_s
     else:
         record.admitted_s = result.admitted_s
         record.shard = result.shard
@@ -115,8 +115,8 @@ def _serve(driver, index: int, arrival):
         record.attempts = result.attempts
         record.latency_s = result.total_s
         record.hedged = result.hedged
-        record.cache = getattr(result, "cache", "")
-    driver.finished_s = max(driver.finished_s, sim.now)
+        record.cache = result.cache
+    driver.finished_s = max(driver.finished_s, sim._now)
 
 
 class OpenLoopDriver:
@@ -136,7 +136,7 @@ class OpenLoopDriver:
         #: replacing the plain invoke (repro.futures: one fan-out job
         #: per arrival).  The generator's return value must expose the
         #: record fields (``admitted_s``/``shard``/``pu_name``/
-        #: ``cold``/``attempts``/``total_s``/``hedged``).
+        #: ``cold``/``attempts``/``total_s``/``hedged``/``cache``).
         self.invoke_factory = invoke_factory
         self.records: list[RequestRecord] = []
         self.submitted = 0
@@ -159,7 +159,7 @@ class OpenLoopDriver:
         sim = self.runtime.sim
         base = sim.now
         for index, arrival in enumerate(self.plan):
-            delay = base + arrival.time_s - sim.now
+            delay = base + arrival.time_s - sim._now
             if delay > 0:
                 yield sim.timeout(delay)
             self.submitted += 1

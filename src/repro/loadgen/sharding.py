@@ -29,7 +29,7 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.core.gateway import ApiGateway
 from repro.core.reliability import BreakerState, CircuitBreaker
-from repro.errors import RequestShed, SchedulingError
+from repro.errors import SchedulingError
 from repro.hardware.pu import PuKind
 from repro.obs.metrics import MetricSpec
 
@@ -105,6 +105,8 @@ class GatewayShard:
             default_deadline_s=default_deadline_s,
             request_ids=request_ids,
         )
+        # The invoker settles this shard's counters through its gateway.
+        self.gateway.shard = self
         self.affinity = affinity
         self.breaker = CircuitBreaker()
         self.outstanding = 0
@@ -114,32 +116,37 @@ class GatewayShard:
         #: Integral of wall (sim) time with >= 1 request in flight.
         self.busy_s = 0.0
         self._busy_since: Optional[float] = None
+        #: This shard's ``routed_total`` series, resolved at its first
+        #: route (so a shard that routes nothing adds no series).
+        self.routed_series = None
 
     @property
     def healthy(self) -> bool:
         """True while routing may target this shard."""
-        return self.breaker.allows(self.sim.now)
+        return self.breaker.allows(self.sim._now)
 
     def begin_request(self) -> None:
         """A request was routed here (before admission)."""
+        now = self.sim._now
         self.routed += 1
         if self.outstanding == 0:
-            self._busy_since = self.sim.now
+            self._busy_since = now
         self.outstanding += 1
-        self.breaker.begin_attempt(self.sim.now)
+        self.breaker.begin_attempt(now)
 
     def end_request(self, ok: bool) -> None:
         """A routed request finished (answered or terminally failed)."""
+        now = self.sim._now
         self.outstanding -= 1
         if self.outstanding == 0 and self._busy_since is not None:
-            self.busy_s += self.sim.now - self._busy_since
+            self.busy_s += now - self._busy_since
             self._busy_since = None
         if ok:
             self.completed += 1
-            self.breaker.record_success(self.sim.now)
+            self.breaker.record_success(now)
         else:
             self.failed += 1
-            self.breaker.record_failure(self.sim.now)
+            self.breaker.record_failure(now)
 
     def end_shed(self) -> None:
         """A routed request was shed at admission (repro.overload).
@@ -151,7 +158,7 @@ class GatewayShard:
         """
         self.outstanding -= 1
         if self.outstanding == 0 and self._busy_since is not None:
-            self.busy_s += self.sim.now - self._busy_since
+            self.busy_s += self.sim._now - self._busy_since
             self._busy_since = None
 
     def utilization(self, elapsed_s: float) -> float:
@@ -203,6 +210,8 @@ class ShardedFrontend:
         self.runtime = runtime
         self.policy = policy
         self.ring = HashRing(num_shards, vnodes=vnodes)
+        #: function -> its hash-ring shard (the ring never changes).
+        self._hashed: dict[str, GatewayShard] = {}
         self.metrics = runtime.obs.registry.register_table(SHARD_METRICS)
         deadline = (
             default_deadline_s
@@ -253,8 +262,18 @@ class ShardedFrontend:
         elif self.policy == "locality":
             shard = self._route_locality(function, kind)
         else:
-            shard = self.shards[self.ring.route(function)]
-        self.metrics.routed_total.child(str(shard.index), self.policy).inc()
+            shard = self._hashed.get(function) or self._hash_route(function)
+        series = shard.routed_series
+        if series is None:
+            series = shard.routed_series = self.metrics.routed_total.child(
+                str(shard.index), self.policy
+            )
+        series.inc()
+        return shard
+
+    def _hash_route(self, function: str) -> GatewayShard:
+        """The hash-ring shard of ``function``, memoized."""
+        shard = self._hashed[function] = self.shards[self.ring.route(function)]
         return shard
 
     def _route_least_outstanding(self) -> GatewayShard:
@@ -277,7 +296,7 @@ class ShardedFrontend:
                 return shard
         # No warm sandbox anywhere (or its shard is unhealthy): fall
         # back to the stable hash placement.
-        return self.shards[self.ring.route(function)]
+        return self._hashed.get(function) or self._hash_route(function)
 
     def shard_for_pu(self, pu_id: int) -> GatewayShard:
         """The shard affined to one PU."""
@@ -286,32 +305,34 @@ class ShardedFrontend:
     # -- invocation ------------------------------------------------------------
 
     def invoke(self, name: str, **kwargs):
-        """Generator: route one request and run it through its shard."""
-        kind = kwargs.get("kind")
-        shard = self.route(name, kind)
+        """Route one request to its shard and return the invoker's
+        generator for it (see :meth:`repro.core.invoker.Invoker.invoke`).
+
+        Routing is a plain call, so the request runs in no frame of
+        ours: the shard is claimed (:meth:`GatewayShard.begin_request`)
+        when this is called, and the invoker settles it through the
+        shard's gateway when the request ends.  Every caller runs the
+        generator with ``yield from`` at once, so both happen in the
+        same simulation step as they would inside a generator.
+        """
+        shard = self.route(name, kwargs.get("kind"))
         if self.runtime.overload is not None:
             # A half-open breaker's single probe must never be shed: it
             # is the only signal that can close the breaker again.
             # Detected before begin_request claims the probe slot (the
             # claim itself flips probe_in_flight).
+            breaker = shard.breaker
             kwargs["overload_bypass"] = (
-                shard.breaker.state is BreakerState.HALF_OPEN
-                and not shard.breaker.probe_in_flight
+                breaker.state is BreakerState.HALF_OPEN
+                and not breaker.probe_in_flight
             )
+        # Built before the claim: a call the invoker rejects (a bad
+        # keyword) raises here and leaves nothing outstanding.
+        request = self.runtime.invoker.invoke(
+            name, gateway=shard.gateway, **kwargs
+        )
         shard.begin_request()
-        try:
-            result = yield from self.runtime.invoker.invoke(
-                name, gateway=shard.gateway, **kwargs
-            )
-        except RequestShed:
-            shard.end_shed()
-            raise
-        except Exception:
-            shard.end_request(ok=False)
-            raise
-        shard.end_request(ok=True)
-        result.shard = shard.index
-        return result
+        return request
 
     # -- reporting --------------------------------------------------------------
 

@@ -212,7 +212,7 @@ class PreemptibleClock:
     def mark_busy(self) -> None:
         """One activity started; the unit is busy while depth > 0."""
         if self._depth == 0:
-            self._busy_since = self.sim.now
+            self._busy_since = self.sim._now
         self._depth += 1
 
     def mark_idle(self) -> None:
@@ -221,7 +221,7 @@ class PreemptibleClock:
             return
         self._depth -= 1
         if self._depth == 0 and self._busy_since is not None:
-            self.busy_time += self.sim.now - self._busy_since
+            self.busy_time += self.sim._now - self._busy_since
             self._busy_since = None
 
     def utilization(self, since: float = 0.0) -> float:

@@ -30,19 +30,37 @@ def fn(name="f"):
 
 def test_gateway_admission_charges_overhead_and_counts():
     sim = Simulator()
-    gateway = ApiGateway(sim, overhead_ms=0.5)
+    gateway = ApiGateway(sim, overhead_ms=0.5, default_deadline_s=2.0)
+    assert gateway.overhead_s == pytest.approx(0.5e-3)
 
     def scenario(sim):
-        first = yield from gateway.admit()
-        second = yield from gateway.admit()
-        return first, second
+        ids = []
+        for _ in range(2):
+            began = sim.now
+            yield sim.timeout(gateway.overhead_s)
+            ids.append(gateway.stamp(began))
+        return ids
 
     proc = sim.spawn(scenario(sim))
     sim.run()
-    first, second = proc.value
-    assert (first, second) == (1, 2)
+    assert proc.value == [1, 2]
     assert gateway.requests_admitted == 2
     assert sim.now == pytest.approx(2 * 0.5e-3)
+    assert gateway.deadline_for(2) == pytest.approx(2.0 + 2 * 0.5e-3)
+
+
+def test_invoker_admission_pays_the_gateway_overhead(runtime):
+    """The invoker yields the gateway's overhead before stamping: the
+    request is admitted exactly ``overhead_s`` after it arrived, and
+    the admit span and histogram say so."""
+    before = runtime.sim.now
+    result = runtime.invoke_now("f")
+    gateway = runtime.gateway
+    assert result.admitted_s - before == pytest.approx(gateway.overhead_s)
+    assert gateway.requests_admitted == 1
+    admit = runtime.obs.metrics.gateway_admit_seconds.child()
+    assert admit.count == 1
+    assert admit.sum == pytest.approx(gateway.overhead_s)
 
 
 # -- executors ------------------------------------------------------------------
